@@ -2,11 +2,15 @@
 
 The path is chosen at import time from ORBITFORGE_PURE_NUMPY, so the
 driver reruns this script in a subprocess once per path and prints the
-side-by-side table.  Run directly:  python3 benchmarks/bench_kernels.py
+side-by-side table of median times.  Without numba there is one path:
+it runs once and prints the numpy column alone.
+Run directly:  python3 benchmarks/bench_kernels.py [REPEATS]
 """
 
+import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -26,20 +30,19 @@ def _workloads():
     b3 = cons.suzuki_B(3).group
     inner = inner_automorphisms(b3).perms
 
+    # the shape of Aut((C4)^3) in the oracle: 86016 perms of 64 points
+    many = rng.permuted(np.tile(np.arange(64, dtype=np.int64), (86016, 1)),
+                        axis=1)
+
     big = cons.heisenberg_trace((3, 3), (3, 1), 2).group
     seeds = np.asarray(big.generating_sequence(), dtype=np.int64)
-
-    flat = cons.line1_abelian(2, 5).group
-    ident = np.arange(flat.n, dtype=np.int64)
 
     return {
         "orbit_labels(8 x 4096, random)": ("orbit_labels", (perms, n)),
         "orbit_labels(64 x 512, inner)": ("orbit_labels",
                                           (inner, b3.n)),
+        "orbit_labels(86016 x 64, random)": ("orbit_labels", (many, 64)),
         "closure_subgroup(2187)": ("closure_subgroup", (big.mul, seeds)),
-        "hom_table_ok(1024)": ("hom_table_ok",
-                               (flat.mul, flat.mul, ident)),
-        "hom_ok_batch(64 x 512)": ("hom_ok_batch", (b3.mul, inner)),
     }
 
 
@@ -51,29 +54,34 @@ def run_worker(repeats):
     for name, (fn_name, args) in _workloads().items():
         fn = getattr(_kernels, fn_name)
         fn(*args)                      # warm any JIT compilation
-        best = float("inf")
+        times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
             fn(*args)
-            best = min(best, time.perf_counter() - t0)
-        results["timings_ms"][name] = best * 1000
+            times.append(time.perf_counter() - t0)
+        results["timings_ms"][name] = statistics.median(times) * 1000
     return results
 
 
-def run_driver(repeats):
-    here = os.path.abspath(__file__)
-    rows = {}
-    for flag in ("0", "1"):
-        env = dict(os.environ, ORBITFORGE_PURE_NUMPY=flag)
-        out = subprocess.run(
-            [sys.executable, here, "--worker", str(repeats)],
-            env=env, capture_output=True, text=True, check=True)
-        rows[flag] = json.loads(out.stdout)
+def _worker(flag, repeats):
+    env = dict(os.environ, ORBITFORGE_PURE_NUMPY=flag)
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker",
+         str(repeats)],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
 
-    fast, slow = rows["0"], rows["1"]
-    print("kernel path: %s vs %s" % (fast["path"], slow["path"]))
-    if fast["path"] == slow["path"]:
-        print("note: numba unavailable; both runs used numpy")
+
+def run_driver(repeats):
+    slow = _worker("1", repeats)
+    print("median of %d runs per workload" % repeats)
+    if importlib.util.find_spec("numba") is None:
+        print("numba is not installed: numpy path only")
+        print("%-34s %12s" % ("workload", "numpy ms"))
+        for name, ms in slow["timings_ms"].items():
+            print("%-34s %12.3f" % (name, ms))
+        return
+    fast = _worker("0", repeats)
     hdr = "%-34s %12s %12s %9s" % ("workload", fast["path"] + " ms",
                                    slow["path"] + " ms", "ratio")
     print(hdr)

@@ -1,9 +1,8 @@
 """Hot integer-array loops shared by the group machinery.
 
-Four kernels live here: orbit label propagation under a set of
-permutations, subgroup closure over a multiplication table, a single
-homomorphism table check, and a batched automorphism table check.
-Each has a numba @njit implementation and a pure-numpy implementation.
+Two kernels live here: orbit label propagation under a set of
+permutations, and subgroup closure over a multiplication table.  Each
+has a numba @njit implementation and a pure-numpy implementation.
 numba wins when it imports, unless ORBITFORGE_PURE_NUMPY=1 is set in the
 environment.  Public wrappers normalize dtypes so callers never care
 which path is live.
@@ -65,16 +64,34 @@ if HAS_NUMBA:
         return lab
 
 
-def orbit_labels(perms, n):
+# rows x columns per block wherever rows are batched (orbit labels, the
+# homomorphism proof, the image search): temporaries stay small
+BLOCK_CELLS = 1 << 16
+
+
+def orbit_labels(perms, n, start=None):
     """Least-index orbit label for each of 0..n-1 under the permutation
-    group generated by the rows of perms (shape (k, n))."""
-    perms = np.ascontiguousarray(perms, dtype=np.int64)
-    if perms.size == 0:
-        return np.arange(n, dtype=np.int64)
-    assert perms.shape[1] == n
-    if HAS_NUMBA:
-        return _orbit_labels_nb(perms, n)
-    return _orbit_labels_np(perms, n)
+    group generated by the rows of perms (shape (k, n)), joined with the
+    classes of `start` when given (labels as this function returns them:
+    start[i] lies in the class of i).
+
+    Orbits are the connected components of the rows' edges (i, row[i]),
+    so the rows are taken in blocks of at most BLOCK_CELLS cells and one
+    pass suffices: a block whose rows keep every point in its current
+    class adds nothing and is skipped after one vectorised test;
+    otherwise the kernel runs on the block plus the current labels as
+    one more row of edges (i, lab[i])."""
+    perms = np.asarray(perms, dtype=np.int64).reshape(len(perms), n)
+    lab = np.arange(n, dtype=np.int64) if start is None else \
+        np.asarray(start, dtype=np.int64).copy()
+    kernel = _orbit_labels_nb if HAS_NUMBA else _orbit_labels_np
+    step = max(1, BLOCK_CELLS // n)
+    for lo in range(0, perms.shape[0], step):
+        block = perms[lo:lo + step]
+        if np.array_equal(lab[block], np.broadcast_to(lab, block.shape)):
+            continue
+        lab = kernel(np.concatenate([block, lab[None, :]]), n)
+    return lab
 
 
 # ------------------------------------------------------------ subgroup closure
@@ -137,72 +154,3 @@ def closure_subgroup(mul, seed):
     if HAS_NUMBA:
         return _closure_nb(mul, seed)
     return _closure_np(mul, seed)
-
-
-# --------------------------------------------------------- homomorphism checks
-
-def _hom_ok_np(mul_a, mul_b, phi):
-    return bool(np.array_equal(phi[mul_a], mul_b[phi[:, None], phi[None, :]]))
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _hom_ok_nb(mul_a, mul_b, phi):
-        n = mul_a.shape[0]
-        for i in range(n):
-            for j in range(n):
-                if phi[mul_a[i, j]] != mul_b[phi[i], phi[j]]:
-                    return False
-        return True
-
-
-def hom_table_ok(mul_a, mul_b, phi):
-    """True iff phi (an index map, domain group a -> group b) satisfies
-    phi(xy) = phi(x)phi(y) on every pair."""
-    mul_a = np.ascontiguousarray(mul_a, dtype=np.int64)
-    mul_b = np.ascontiguousarray(mul_b, dtype=np.int64)
-    phi = np.ascontiguousarray(phi, dtype=np.int64)
-    if HAS_NUMBA:
-        return bool(_hom_ok_nb(mul_a, mul_b, phi))
-    return _hom_ok_np(mul_a, mul_b, phi)
-
-
-def _hom_ok_batch_np(mul, phis):
-    m = phis.shape[0]
-    out = np.zeros(m, dtype=np.bool_)
-    for t in range(m):
-        ph = phis[t]
-        out[t] = np.array_equal(ph[mul], mul[ph[:, None], ph[None, :]])
-    return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _hom_ok_batch_nb(mul, phis):
-        m, n = phis.shape
-        out = np.zeros(m, dtype=np.bool_)
-        for t in range(m):
-            ok = True
-            for i in range(n):
-                if not ok:
-                    break
-                for j in range(n):
-                    if phis[t, mul[i, j]] != mul[phis[t, i], phis[t, j]]:
-                        ok = False
-                        break
-            out[t] = ok
-        return out
-
-
-def hom_ok_batch(mul, phis):
-    """Row t of the result says whether phis[t] is an endomorphism-compatible
-    index map of the group with table mul (same group on both sides)."""
-    mul = np.ascontiguousarray(mul, dtype=np.int64)
-    phis = np.ascontiguousarray(phis, dtype=np.int64)
-    if phis.shape[0] == 0:
-        return np.zeros(0, dtype=np.bool_)
-    if HAS_NUMBA:
-        return _hom_ok_batch_nb(mul, phis)
-    return _hom_ok_batch_np(mul, phis)

@@ -81,34 +81,35 @@ def _collect_params(args, names):
 
 
 def _build_family(family, args):
+    cap = _size_cap(args)
     names = _FAMILY_PARAMS[family]
     prm = _collect_params(args, names)
     if family == "line1":
-        return cons.line1_abelian(prm["p"], prm["n"]), prm
+        return cons.line1_abelian(prm["p"], prm["n"], cap=cap), prm
     if family == "line2":
         return cons.line2_frobenius(prm["p"], prm["r"], prm["ell"],
-                                    prm["d"]), prm
+                                    prm["d"], cap=cap), prm
     if family == "suzukiA":
-        return cons.suzuki_A(prm["n"], prm["theta"]), prm
+        return cons.suzuki_A(prm["n"], prm["theta"], cap=cap), prm
     if family == "suzukiB":
-        return cons.suzuki_B(prm["n"], prm["eps_choice"]), prm
+        return cons.suzuki_B(prm["n"], prm["eps_choice"], cap=cap), prm
     if family == "dornhoff":
-        return cons.dornhoff_P(), prm
+        return cons.dornhoff_P(cap=cap), prm
     if family == "sl3":
         from .group_engine import _prime_power
         pk = _prime_power(prm["q"])
         if pk is None:
             raise ValueError("%d is not a prime power" % prm["q"])
-        return cons.sl3_pair(pk), prm
+        return cons.sl3_pair(pk, cap=cap), prm
     if family == "heisenberg":
         p, m, n, b = prm["p"], prm["m"], prm["n"], prm["b"]
         if b % n or m % b or (m // b) % 2:
             raise ValueError("need n | b | m with m/b even")
-        return cons.heisenberg_trace((p, b), (p, n), m // b), prm
+        return cons.heisenberg_trace((p, b), (p, n), m // b, cap=cap), prm
     if family == "gl3-tower":
-        return cons.gl3_tower((3, 1), (3, 1)), prm
+        return cons.gl3_tower((3, 1), (3, 1), cap=cap), prm
     if family == "extraspecial2":
-        return cons.extraspecial2(prm["k"], prm["eps"]), prm
+        return cons.extraspecial2(prm["k"], prm["eps"], cap=cap), prm
     raise ValueError("unknown family %r" % family)
 
 
@@ -208,20 +209,24 @@ def build_parser():
     return ap
 
 
-def _apply_cap(args):
+def _size_cap(args):
+    """Group-order cap from --cap BYTES, or None for the default."""
     cap = getattr(args, "cap", None)
-    if cap is not None:
-        if cap < 8:
-            raise ValueError("--cap must be at least 8 bytes")
-        cons.SIZE_CAP = math.isqrt(cap // 8)
+    if cap is None:
+        return None
+    if cap < 8:
+        raise ValueError("--cap must be at least 8 bytes")
+    return math.isqrt(cap // 8)
 
 
-def _run_jobs(jobs, threads):
+def _run_jobs(jobs, args):
+    cap = _size_cap(args)
+    threads = getattr(args, "threads", 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(vs.run_job, jobs))
+            reports = list(ex.map(lambda j: vs.run_job(j, cap), jobs))
     else:
-        reports = [vs.run_job(j) for j in jobs]
+        reports = [vs.run_job(j, cap) for j in jobs]
     return sorted(reports, key=lambda r: r["claim_id"])
 
 
@@ -343,7 +348,7 @@ def _do_verify_line(args, out):
     else:
         line = int(args.line)
         jobs = [("line", line, _line_params_from_args(line, args))]
-    return _emit_reports(_run_jobs(jobs, args.threads), args.json, out)
+    return _emit_reports(_run_jobs(jobs, args), args.json, out)
 
 
 def _do_verify_iso(args, out):
@@ -354,12 +359,12 @@ def _do_verify_iso(args, out):
         jobs = [("gfgf", *explicit)]
     else:
         jobs = [("gfgf", *t) for t in vs.gfgf_battery()]
-    return _emit_reports(_run_jobs(jobs, args.threads), args.json, out)
+    return _emit_reports(_run_jobs(jobs, args), args.json, out)
 
 
 def _do_verify_irredundant(args, out):
     jobs = [("irredundant", bool(args.exhaustive))]
-    return _emit_reports(_run_jobs(jobs, 1), args.json, out)
+    return _emit_reports(_run_jobs(jobs, args), args.json, out)
 
 
 def _do_verify_4orbit(args, out):
@@ -370,7 +375,7 @@ def _do_verify_4orbit(args, out):
                ("q", "k", "eps", "p", "r", "ell", "d")
                if getattr(args, k, None) is not None}
         jobs = [("four", args.family, prm)]
-    return _emit_reports(_run_jobs(jobs, args.threads), args.json, out)
+    return _emit_reports(_run_jobs(jobs, args), args.json, out)
 
 
 def _do_hering(args, out):
@@ -386,7 +391,7 @@ def _do_hering(args, out):
                 raise ValueError("%s needs --%s" % (args.kind, k))
             prm[k] = v
         jobs = [("hering", args.kind, prm)]
-    return _emit_reports(_run_jobs(jobs, args.threads), args.json, out)
+    return _emit_reports(_run_jobs(jobs, args), args.json, out)
 
 
 def _do_export(args, out):
@@ -418,7 +423,7 @@ def run(argv, out=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        _apply_cap(args)
+        _size_cap(args)  # reject a bad --cap before any work
         return _HANDLERS[args.verb](args, out)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)

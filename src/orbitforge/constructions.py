@@ -56,9 +56,11 @@ class _Coder:
         return out
 
 
-def _check_cap(n):
-    if n > SIZE_CAP:
-        raise ValueError(f"group order {n} exceeds cap {SIZE_CAP}")
+def _check_cap(n, cap=None):
+    """Refuse a group of order n above cap (SIZE_CAP when None)."""
+    cap = SIZE_CAP if cap is None else cap
+    if n > cap:
+        raise ValueError(f"group order {n} exceeds cap {cap}")
 
 
 def _inverse_embedding(F_small, F_big):
@@ -109,11 +111,11 @@ def _gl_generator_mats(p, n):
     return mats
 
 
-def line1_abelian(p, n):
+def line1_abelian(p, n, *, cap=None):
     """(C_{p^2})^n with the entrywise-lifted GL_n(p) action."""
     if not is_prime(p) or n < 1:
         raise ValueError("need prime p and n >= 1")
-    _check_cap(p ** (2 * n))
+    _check_cap(p ** (2 * n), cap)
     psq = p * p
     coder = _Coder([psq] * n)
     D = coder.digits
@@ -130,7 +132,7 @@ def line1_abelian(p, n):
 
 # --------------------------------------------- line 2: scalar Frobenius
 
-def line2_frobenius(p, r, ell, d):
+def line2_frobenius(p, r, ell, d, *, cap=None):
     """C_{r^ell} acting by a fixed order-e scalar on GF(q)^d,
     q = p^phi(e), with e = r^ell and p of full multiplicative order
     mod e."""
@@ -151,7 +153,7 @@ def line2_frobenius(p, r, ell, d):
         raise ValueError("p is not a primitive root for the required modulus")
     F = field_create(p, phi)
     q = F.q
-    _check_cap(e * q ** d)
+    _check_cap(e * q ** d, cap)
     lam = element_of_order(F, e)
     lampow = np.empty(e, dtype=np.int64)
     lampow[0] = 1
@@ -204,14 +206,14 @@ def _glq_generator_mats(F, d):
 
 # ------------------------------------------------- lines 3-5: 2-groups
 
-def suzuki_A(n, i):
+def suzuki_A(n, i, *, cap=None):
     """Type-A group on GF(2^n) x GF(2^n) with twist x -> x^(2^i)."""
     theta_order = n // math.gcd(n, i)
     if theta_order % 2 == 0 or theta_order <= 1:
         raise ValueError("twist order must be odd and > 1")
     F = field_create(2, n)
     q = F.q
-    _check_cap(q * q)
+    _check_cap(q * q, cap)
     th = frob_table(F, i)
     coder = _Coder([q, q])
     D = coder.digits
@@ -232,7 +234,7 @@ def suzuki_A(n, i):
     return _instance("suzukiA", {"n": n, "i": i}, coder, table, perms, meta)
 
 
-def suzuki_B(n, eps_choice=0):
+def suzuki_B(n, eps_choice=0, *, cap=None):
     """Type-B group on GF(2^(2n)) x GF(2^n); the cocycle is
     x + x^q with x = l1 * l2^q * eps for an element eps of order q + 1.
 
@@ -244,7 +246,7 @@ def suzuki_B(n, eps_choice=0):
     F2 = field_create(2, 2 * n)
     F = field_create(2, n)
     q = F.q
-    _check_cap(q ** 3)
+    _check_cap(q ** 3, cap)
     order = q + 1
     choices = [x for x in range(1, F2.q) if F2.elem_order(x) == order]
     if eps_choice >= len(choices):
@@ -278,10 +280,11 @@ def suzuki_B(n, eps_choice=0):
     return inst
 
 
-def dornhoff_P():
+def dornhoff_P(*, cap=None):
     """The order-512 group on GF(64) x GF(8) with cocycle x + x^8,
     x = l1 * l2^2 * eps, eps primitive of order 63, together with its
     two defining automorphisms."""
+    _check_cap(512, cap)
     F64 = field_create(2, 6)
     F8 = field_create(2, 3)
     eps = element_of_order(F64, 63)
@@ -310,7 +313,7 @@ def dornhoff_P():
 
 # ------------------------------------- lines 6-7 and towers: odd p-groups
 
-def heisenberg_trace(F, F0, d):
+def heisenberg_trace(F, F0, d, *, cap=None):
     """F^d x F0 with cocycle Tr(f(v1, v2)) for the standard symplectic f.
     F and F0 are (p, k) pairs or field objects; F0 must sit inside F."""
     F = field_create(*F) if isinstance(F, tuple) else F
@@ -321,7 +324,7 @@ def heisenberg_trace(F, F0, d):
         raise ValueError("odd characteristic required")
     if d % 2 != 0 or d < 2:
         raise ValueError("d must be even and >= 2")
-    _check_cap(F.q ** d * F0.q)
+    _check_cap(F.q ** d * F0.q, cap)
     tr = trace_table(F, F0.k)
     coder = _Coder([F.q] * d + [F0.q])
     D = coder.digits
@@ -368,12 +371,12 @@ def _gl3_action_cols(F, D, g, with_tower_x=None):
     return cols
 
 
-def sl3_pair(F):
+def sl3_pair(F, *, cap=None):
     """F^3 x F^3 with cocycle v1 wedge v2 in the cyclic basis."""
     F = field_create(*F) if isinstance(F, tuple) else F
     if F.p == 2:
         raise ValueError("odd q required")
-    _check_cap(F.q ** 6)
+    _check_cap(F.q ** 6, cap)
     coder = _Coder([F.q] * 6)
     D = coder.digits
     cols = []
@@ -397,7 +400,7 @@ def sl3_pair(F):
     return _instance("sl3pair", {"F": (F.p, F.k)}, coder, table, perms, meta)
 
 
-def gl3_tower(F, F0):
+def gl3_tower(F, F0, *, cap=None):
     """The free 3-generator exponent-3 group (order 3^7, class 3):
     layers V, wedge^2 V, wedge^3 V with GL(V) inducing (g, g^g, det g).
 
@@ -416,6 +419,7 @@ def gl3_tower(F, F0):
     F0 = field_create(*F0) if isinstance(F0, tuple) else F0
     if (F.p, F.k) != (3, 1) or (F0.p, F0.k) != (3, 1):
         raise ValueError("only the GF(3) tower fits the order cap")
+    _check_cap(3 ** 7, cap)
     coder = _Coder([3] * 7)
     D = coder.digits
     n = coder.n
@@ -526,14 +530,14 @@ def _es2_beta(k, eps):
     return beta
 
 
-def extraspecial2(k, eps):
+def extraspecial2(k, eps, *, cap=None):
     """GF(2)^(2k) x GF(2) with bilinear cocycle beta lifting the type-eps
     quadratic form; squaring realizes Q, and the attached action is the
     orthogonal group O(Q) lifted by triangular corrections."""
     if k < 1 or eps not in ("+", "-"):
         raise ValueError("k >= 1 and eps in {+, -}")
     d = 2 * k
-    _check_cap(2 ** (d + 1))
+    _check_cap(2 ** (d + 1), cap)
     beta = _es2_beta(k, eps)
     polar = (beta + beta.T) % 2
     coder = _Coder([2] * (d + 1))

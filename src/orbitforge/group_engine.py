@@ -11,18 +11,18 @@ search at |G| <= 1024.
 """
 
 import math
+import os
 import struct
 from collections import Counter, deque
 
 import numpy as np
 
-from ._kernels import closure_subgroup, hom_ok_batch, hom_table_ok, orbit_labels
+from ._kernels import BLOCK_CELLS, closure_subgroup, orbit_labels
 
 ASSOC_FULL_CAP = 256
 LATTICE_CAP = 512
 ISO_CAP = 1 << 10
 PGROUP_CAP = 1 << 13
-_CHUNK_CELLS = 1 << 23  # batch rows x |G| cap for the image search
 
 
 def _prime_power(n):
@@ -372,14 +372,20 @@ def export_cayley(G, path):
 
 
 def import_cayley(path):
+    """Rebuild and re-validate a group from a G3O1 file: magic, uint32 n,
+    then n*n little-endian uint32 entries, and nothing after them."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CAYLEY_MAGIC:
+        head = fh.read(8)
+        if head[:4] != CAYLEY_MAGIC:
             raise ValueError("bad magic")
-        (n,) = struct.unpack("<I", fh.read(4))
+        if len(head) != 8:
+            raise ValueError("truncated header")
+        (n,) = struct.unpack("<I", head[4:])
+        size = os.fstat(fh.fileno()).st_size
+        if size != 8 + 4 * n * n:
+            raise ValueError("file holds %d bytes, header n=%d needs %d"
+                             % (size, n, 8 + 4 * n * n))
         data = np.frombuffer(fh.read(4 * n * n), dtype="<u4")
-        if data.size != n * n:
-            raise ValueError("truncated table")
     return FiniteGroup(list(range(n)), data.reshape(n, n).astype(np.int64))
 
 
@@ -458,18 +464,17 @@ class _HomSearch:
         return ok, phi
 
     def _collect(self, ok, phi):
-        for r in np.nonzero(ok)[0]:
-            self.found.append(phi[r].copy())
-            if not self.find_all:
-                return True
-        return False
+        hits = phi[ok]
+        if len(hits):
+            self.found.append(hits if self.find_all else hits[:1])
+        return bool(len(hits)) and not self.find_all
 
     def _descend(self, rows, k):
         """rows have survived level k; extend by bucket k and recurse."""
         bucket = self.buckets[k]
         if bucket.size == 0:
             return False
-        max_rows = max(1, _CHUNK_CELLS // self.G.n)
+        max_rows = max(1, BLOCK_CELLS // self.G.n)
         step = max(1, max_rows // bucket.size)
         for lo in range(0, rows.shape[0], step):
             chunk = rows[lo:lo + step]
@@ -488,11 +493,13 @@ class _HomSearch:
         return False
 
     def run(self):
+        """The maps found, as an (m, |G|) array."""
         if self.k_total == 0:
-            self.found.append(np.array([self.H.e], dtype=np.int64))
-            return self.found
+            return np.array([[self.H.e]], dtype=np.int64)
         self._descend(np.empty((1, 0), dtype=np.int64), 0)
-        return self.found
+        if not self.found:
+            return np.empty((0, self.G.n), dtype=np.int64)
+        return np.concatenate(self.found)
 
 
 def _invariant_screen(G, H):
@@ -513,6 +520,25 @@ def _invariant_screen(G, H):
     return True
 
 
+def hom_on_generators(G, H, phis):
+    """Row t says whether the index map phis[t]: G -> H is a
+    homomorphism, proved by phi(gx) = phi(g)phi(x) for every x and every
+    g of G's generating sequence.  The g that pass are closed under
+    products (take x = h to get phi(gh) = phi(g)phi(h)), so in a finite
+    group they form a subgroup, which holds the generators and so is G.
+    Costs |gens| * n cells per map instead of n^2."""
+    phis = np.asarray(phis, dtype=np.int64).reshape(-1, G.n)
+    gens = G.generating_sequence() or [G.e]
+    ok = np.ones(len(phis), dtype=bool)
+    step = max(1, BLOCK_CELLS // G.n)
+    for lo in range(0, len(phis), step):
+        blk = phis[lo:lo + step]
+        for g in gens:
+            ok[lo:lo + step] &= np.all(
+                blk[:, G.mul[g]] == H.mul[blk[:, g][:, None], blk], axis=1)
+    return ok
+
+
 def find_isomorphism(G, H):
     """Element-index map G -> H, or None.  Exhaustive given the screens:
     if no generator-image assignment survives, the groups are not
@@ -522,10 +548,10 @@ def find_isomorphism(G, H):
     if not _invariant_screen(G, H):
         return None
     found = _HomSearch(G, H, find_all=False).run()
-    if not found:
+    if not len(found):
         return None
     phi = found[0]
-    assert hom_table_ok(G.mul, H.mul, phi)
+    assert hom_on_generators(G, H, phi)[0]
     assert np.array_equal(np.sort(phi), np.arange(G.n))
     return phi
 
@@ -540,10 +566,8 @@ def all_automorphisms(G, cap=1 << 9):
     """Every automorphism of G as an (m, n) permutation array."""
     if G.n > cap:
         raise ValueError("automorphism enumeration cap exceeded")
-    found = _HomSearch(G, G, find_all=True).run()
-    phis = np.array(found, dtype=np.int64).reshape(len(found), G.n)
-    ok = hom_ok_batch(G.mul, phis)
-    phis = phis[ok]
+    phis = _HomSearch(G, G, find_all=True).run()
+    phis = phis[hom_on_generators(G, G, phis)]
     ar = np.arange(G.n)
     bij = np.all(np.sort(phis, axis=1) == ar, axis=1)
     phis = phis[bij]

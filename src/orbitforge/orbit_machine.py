@@ -13,14 +13,13 @@ from collections import deque
 
 import numpy as np
 
-from ._kernels import hom_table_ok, orbit_labels
+from ._kernels import BLOCK_CELLS, orbit_labels
 from .group_engine import (_prime_power, all_automorphisms,
-                           characteristic_core)
+                           characteristic_core, hom_on_generators)
 
 AUT_ENUM_CAP = 1 << 9
 HOLOMORPH_CAP = 64
 PAIR_CLOSURE_CAP = 1 << 18
-PARTIAL_VERIFY_CAP = 1 << 10
 
 
 class AutomorphismSet:
@@ -49,24 +48,12 @@ class AutomorphismSet:
 
 
 def verify_automorphism(G, perm):
-    """Bijectivity plus the multiplication check; exhaustive for
-    |G| <= 1024, generator-row plus sampled otherwise."""
+    """Bijectivity plus the generator-row homomorphism proof."""
     perm = np.asarray(perm, dtype=np.int64)
     n = G.n
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         return False
-    if n <= PARTIAL_VERIFY_CAP:
-        return bool(hom_table_ok(G.mul, G.mul, perm))
-    gens = G.generating_sequence()
-    for g in gens:
-        if not np.array_equal(perm[G.mul[g]], G.mul[perm[g], perm]):
-            return False
-        if not np.array_equal(perm[G.mul[:, g]], G.mul[perm, perm[g]]):
-            return False
-    rng = np.random.RandomState(0)
-    xs = rng.randint(0, n, size=100_000)
-    ys = rng.randint(0, n, size=100_000)
-    return bool(np.all(perm[G.mul[xs, ys]] == G.mul[perm[xs], perm[ys]]))
+    return bool(hom_on_generators(G, G, perm)[0])
 
 
 def inner_automorphisms(G):
@@ -80,10 +67,7 @@ def inner_automorphisms(G):
 def orbits(G, acts):
     """OrbitReport under the group generated by the given automorphisms."""
     n = G.n
-    if len(acts) == 0:
-        labels = np.arange(n, dtype=np.int64)
-    else:
-        labels = orbit_labels(acts.perms, n)
+    labels = orbit_labels(acts.perms, n)
     orders = G.orders()
     reps = np.unique(labels)
     rows = []
@@ -386,8 +370,7 @@ def induced_pair(G, N, acts, *, closure_cap=PAIR_CLOSURE_CAP):
     def transitive(perms, size, fixed):
         if size <= 1:
             return True
-        lab = orbit_labels(perms, size) if len(perms) else \
-            np.arange(size, dtype=np.int64)
+        lab = orbit_labels(perms, size)
         others = np.array([i for i in range(size) if i != fixed])
         return len(np.unique(lab[others])) == 1
 
@@ -460,40 +443,20 @@ def brute_force_aut(G, cap=AUT_ENUM_CAP):
 
 def holomorph_rank(G, aut_set=None):
     """Rank of the holomorph acting on G: the number of orbits of
-    <right translations, Aut(G)> on ordered pairs."""
+    <right translations, Aut(G)> on ordered pairs.  The pair
+    permutations (x, y) -> (xg, yg) and (x, y) -> (a(x), a(y)) are built
+    and labelled one kernel block at a time."""
     if G.n > HOLOMORPH_CAP:
         raise ValueError("holomorph cap exceeded")
     n = G.n
     if aut_set is None:
         aut_set = brute_force_aut(G, cap=HOLOMORPH_CAP)
-    trans = G.mul.T.copy()  # row g: x -> x*g
-    labels = np.arange(n * n, dtype=np.int64)
-
-    def pair_perms(perms):
-        return (perms[:, :, None] * n + perms[:, None, :]).reshape(
-            len(perms), n * n)
-
-    chunks = [pair_perms(trans)]
-    ap = aut_set.perms
-    step = max(1, (1 << 22) // (n * n))
-    for lo in range(0, len(ap), step):
-        chunks.append(pair_perms(ap[lo:lo + step]))
-    changed = True
-    while changed:
-        changed = False
-        for ch in chunks:
-            # propagate current labels under this chunk to a fixed point
-            lab = labels
-            while True:
-                nxt = lab.copy()
-                for p in ch:
-                    np.minimum.at(nxt, p, lab)
-                    nxt = np.minimum(nxt, lab[p])
-                nxt = np.minimum(nxt, nxt[nxt])
-                if np.array_equal(nxt, lab):
-                    break
-                lab = nxt
-            if not np.array_equal(lab, labels):
-                labels = lab
-                changed = True
+    step = max(1, BLOCK_CELLS // (n * n))
+    labels = None
+    for perms in (G.mul.T, aut_set.perms):  # row g of mul.T: x -> x*g
+        for lo in range(0, len(perms), step):
+            blk = perms[lo:lo + step]
+            pairs = (blk[:, :, None] * n + blk[:, None, :]).reshape(
+                len(blk), n * n)
+            labels = orbit_labels(pairs, n * n, start=labels)
     return len(np.unique(labels))

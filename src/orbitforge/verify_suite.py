@@ -127,38 +127,38 @@ def _canon_line_params(line, params):
     return out
 
 
-def _build_line(line, params):
+def _build_line(line, params, cap):
     if line == 1:
-        return cons.line1_abelian(params["p"], params["n"])
+        return cons.line1_abelian(params["p"], params["n"], cap=cap)
     if line == 2:
-        inst = cons.line2_frobenius(params["p"], params["r"], 1, 1)
+        inst = cons.line2_frobenius(params["p"], params["r"], 1, 1, cap=cap)
         if inst.meta["q"] != params["p"] ** (params["r"] - 1):
             raise AssertionError("scalar field is not p^(r-1)")
         return inst
     if line == 3:
-        return cons.suzuki_A(params["n"], params["theta"])
+        return cons.suzuki_A(params["n"], params["theta"], cap=cap)
     if line == 4:
-        return cons.suzuki_B(params["n"], params["eps_choice"])
+        return cons.suzuki_B(params["n"], params["eps_choice"], cap=cap)
     if line == 5:
-        return cons.dornhoff_P()
+        return cons.dornhoff_P(cap=cap)
     if line == 6:
         pk = _prime_power(params["q"])
         if pk is None or pk[0] == 2:
             raise ValueError("q must be an odd prime power")
-        return cons.sl3_pair(pk)
+        return cons.sl3_pair(pk, cap=cap)
     if line == 7:
         p, m, n, b = params["p"], params["m"], params["n"], params["b"]
         if b % n or m % b or (m // b) % 2:
             raise ValueError("need n | b | m with m/b even")
-        return cons.heisenberg_trace((p, b), (p, n), m // b)
+        return cons.heisenberg_trace((p, b), (p, n), m // b, cap=cap)
     raise ValueError("line must be 1..7")
 
 
-def verify_table_line(line, params):
+def verify_table_line(line, params, *, cap=None):
     """Three-orbit check for one table line at the given parameters."""
     t0 = time.perf_counter()
     params = _canon_line_params(line, params)
-    inst = _build_line(line, params)
+    inst = _build_line(line, params, cap)
     G = inst.group
     meta = inst.meta
     core = characteristic_core(G)
@@ -266,7 +266,7 @@ def _symplectic_basis(F, d, form):
     return B
 
 
-def verify_gfgf_iso(q, d, e):
+def verify_gfgf_iso(q, d, e, *, cap=None):
     """Explicit isomorphism between the 2-dimensional group over the big
     field and the d-dimensional group over the middle field, checked on
     every pair of elements, plus a blind search cross-check."""
@@ -276,15 +276,14 @@ def verify_gfgf_iso(q, d, e):
         raise ValueError("q must be an odd prime power")
     if d % 2 or d < 2 or e < 1:
         raise ValueError("d must be even and e positive")
-    if q ** (d * e + 1) > cons.SIZE_CAP:
-        raise ValueError("q^(de+1) exceeds the construction cap")
+    cons._check_cap(q ** (d * e + 1), cap)
     p, kq = pk
     F0 = field_create(p, kq)
     F = field_create(p, kq * e)
     Fbig = field_create(p, kq * d * e // 2)
     s = d // 2
-    G1 = cons.heisenberg_trace(Fbig, F0, 2)
-    G2 = cons.heisenberg_trace(F, F0, d)
+    G1 = cons.heisenberg_trace(Fbig, F0, 2, cap=cap)
+    G2 = cons.heisenberg_trace(F, F0, d, cap=cap)
 
     # F-linear coordinates on the big field: powers of a primitive element
     xi = element_of_order(Fbig, Fbig.q - 1)
@@ -525,7 +524,7 @@ def special2_map_search(da, db, *, node_cap=2_000_000):
     return out
 
 
-def verify_irredundant(exhaustive=None):
+def verify_irredundant(exhaustive=None, *, cap=None):
     """Catalog irredundancy: the positive identifications the listing
     relies on, invariant separation at coinciding orders, and the deep
     order-512 pair, plus the flag-gated order-1024 pair."""
@@ -540,22 +539,22 @@ def verify_irredundant(exhaustive=None):
         row.update(extra)
         checks.append(row)
 
-    a31 = cons.suzuki_A(3, 1)
-    a32 = cons.suzuki_A(3, 2)
+    a31 = cons.suzuki_A(3, 1, cap=cap)
+    a32 = cons.suzuki_A(3, 2, cap=cap)
     phi = find_isomorphism(a31.group, a32.group)
     add("twist-vs-inverse-twist-64", "generator-image search",
         "isomorphic", "isomorphic" if phi is not None else "distinct",
         phi is not None)
 
-    b20 = cons.suzuki_B(2, 0)
-    b21 = cons.suzuki_B(2, 1)
+    b20 = cons.suzuki_B(2, 0, cap=cap)
+    b21 = cons.suzuki_B(2, 1, cap=cap)
     phi = find_isomorphism(b20.group, b21.group)
     add("epsilon-independence-64", "generator-image search",
         "isomorphic", "isomorphic" if phi is not None else "distinct",
         phi is not None)
 
     centers64 = {
-        "line-1": len(cons.line1_abelian(2, 3).group.center()),
+        "line-1": len(cons.line1_abelian(2, 3, cap=cap).group.center()),
         "line-3": len(a31.group.center()),
         "line-4": len(b20.group.center()),
     }
@@ -564,8 +563,8 @@ def verify_irredundant(exhaustive=None):
         len(set(centers64.values())) == len(centers64))
 
     centers729 = {
-        "line-6": len(cons.sl3_pair((3, 1)).group.center()),
-        "line-7": len(cons.heisenberg_trace((3, 2), (3, 2), 2)
+        "line-6": len(cons.sl3_pair((3, 1), cap=cap).group.center()),
+        "line-7": len(cons.heisenberg_trace((3, 2), (3, 2), 2, cap=cap)
                       .group.center()),
     }
     add("order-729-center-separation", "center orders",
@@ -579,8 +578,8 @@ def verify_irredundant(exhaustive=None):
         "pair found", "found" if eng["found"] else "none", eng["found"],
         nodes=eng["nodes"])
 
-    b3 = cons.suzuki_B(3)
-    p512 = cons.dornhoff_P()
+    b3 = cons.suzuki_B(3, cap=cap)
+    p512 = cons.dornhoff_P(cap=cap)
     screen_same = _invariant_screen(b3.group, p512.group)
     eng = special2_map_search(_square_layers(b3.group),
                               _square_layers(p512.group))
@@ -590,8 +589,8 @@ def verify_irredundant(exhaustive=None):
         coarse_invariants_agree=bool(screen_same))
 
     if exhaustive:
-        a51 = cons.suzuki_A(5, 1)
-        a52 = cons.suzuki_A(5, 2)
+        a51 = cons.suzuki_A(5, 1, cap=cap)
+        a52 = cons.suzuki_A(5, 2, cap=cap)
         eng = special2_map_search(_square_layers(a51.group),
                                   _square_layers(a52.group))
         add("twist-vs-squared-twist-1024", "layer-map search",
@@ -647,7 +646,7 @@ def q8_on_c3c3():
 _ES2_NAME = {"+": "plus", "-": "minus"}
 
 
-def verify_four_orbit(family, params):
+def verify_four_orbit(family, params, *, cap=None):
     """omega = 4 verification with the frozen stratum data."""
     t0 = time.perf_counter()
     expect_orders = None
@@ -656,7 +655,7 @@ def verify_four_orbit(family, params):
         params = {"q": int(params.get("q", 3))}
         if params["q"] != 3:
             raise ValueError("only q = 3 fits the construction cap")
-        inst = cons.gl3_tower((3, 1), (3, 1))
+        inst = cons.gl3_tower((3, 1), (3, 1), cap=cap)
         G, acts = inst.group, inst.acts
         expect = [1, 2, 78, 2106]
         witnesses["gamma_orders"] = [len(g) for g in G.gamma_series()]
@@ -665,7 +664,7 @@ def verify_four_orbit(family, params):
         k = int(params.get("k", 2))
         eps = str(params.get("eps", "+"))
         params = {"k": k, "eps": eps}
-        inst = cons.extraspecial2(k, eps)
+        inst = cons.extraspecial2(k, eps, cap=cap)
         G, acts = inst.group, inst.acts
         qq = 2 ** k
         sgn = 1 if eps == "+" else -1
@@ -677,7 +676,7 @@ def verify_four_orbit(family, params):
                   "ell": int(params.get("ell", 2)),
                   "d": int(params.get("d", 1))}
         inst = cons.line2_frobenius(params["p"], params["r"],
-                                    params["ell"], params["d"])
+                                    params["ell"], params["d"], cap=cap)
         G, acts = inst.group, inst.acts
         expect = [1, 63, 128, 384]
         witnesses["frattini_note"] = "beyond the subgroup-lattice cap"
@@ -808,17 +807,18 @@ def hering_battery():
     ]
 
 
-def run_job(job):
-    """Dispatch one (kind, *args) claim job to its verifier."""
+def run_job(job, cap=None):
+    """Dispatch one (kind, *args) claim job to its verifier; cap is the
+    group-order cap of every construction (SIZE_CAP when None)."""
     kind = job[0]
     if kind == "line":
-        return verify_table_line(job[1], job[2])
+        return verify_table_line(job[1], job[2], cap=cap)
     if kind == "gfgf":
-        return verify_gfgf_iso(job[1], job[2], job[3])
+        return verify_gfgf_iso(job[1], job[2], job[3], cap=cap)
     if kind == "irredundant":
-        return verify_irredundant(job[1])
+        return verify_irredundant(job[1], cap=cap)
     if kind == "four":
-        return verify_four_orbit(job[1], job[2])
+        return verify_four_orbit(job[1], job[2], cap=cap)
     if kind == "hering":
         return verify_hering(job[1], job[2])
     raise ValueError("unknown job kind %r" % kind)

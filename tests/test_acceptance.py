@@ -167,7 +167,7 @@ def test_criterion_8_oracle_coherence():
         assert om["exact"] == truth, (tag, om, truth)
         checked += 1
         if G.n <= 64:
-            assert holomorph_rank(G) == truth, tag
+            assert holomorph_rank(G, aut) == truth, tag
             holo += 1
     # the one four-orbit group in range, with no family action of its own
     G = vs.q8_on_c3c3()

@@ -93,15 +93,19 @@ def test_hering_single():
 
 
 def test_cap_rejects_large_build():
-    before = cons.SIZE_CAP
-    try:
-        code, _ = run_cli(["construct", "sl3", "--q", "3",
-                           "--cap", "1000"])
-        assert code == 1
-    finally:
-        cons.SIZE_CAP = before
+    code, _ = run_cli(["construct", "sl3", "--q", "3", "--cap", "1000"])
+    assert code == 1
     code, _ = run_cli(["construct", "line1", "--p", "2", "--n", "1"])
     assert code == 0
+
+
+def test_cap_does_not_leak():
+    # --cap binds one call only: the same order-729 build then succeeds
+    code, _ = run_cli(["construct", "sl3", "--q", "3", "--cap", "1000"])
+    assert code == 1
+    code, text = run_cli(["construct", "sl3", "--q", "3", "--json"])
+    assert code == 0
+    assert json.loads(text)["order"] == 729
 
 
 def test_thread_determinism():

@@ -162,6 +162,20 @@ def test_cayley_roundtrip(tmp_path):
         assert fh.read(4) == ge.CAYLEY_MAGIC
 
 
+def test_cayley_rejects_bad_sizes(tmp_path):
+    Q8 = quat()
+    path = tmp_path / "q8.g3o"
+    ge.export_cayley(Q8, str(path))
+    good = path.read_bytes()
+    assert len(good) == 8 + 4 * 64
+    for bad in (good[:-1], good + b"\0", good[:6],
+                # a header claiming n = 65535 would need 17 GB of table
+                ge.CAYLEY_MAGIC + (65535).to_bytes(4, "little") + good[8:]):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError):
+            ge.import_cayley(str(path))
+
+
 def test_d6_aut():
     D6 = perm_group([(1, 2, 0, 3, 4), (1, 0, 2, 3, 4), (0, 1, 2, 4, 3)])
     assert D6.n == 12

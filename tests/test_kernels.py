@@ -1,7 +1,9 @@
 """Kernel pair agreement: the numba path and the numpy path must give
-identical answers, and ORBITFORGE_PURE_NUMPY=1 must force the numpy
-path."""
+identical answers, the streamed orbit labels must equal one unblocked
+kernel run, the generator-row homomorphism proof must agree with the
+full table, and ORBITFORGE_PURE_NUMPY=1 must force the numpy path."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -9,6 +11,8 @@ import sys
 import numpy as np
 
 from orbitforge import _kernels as K
+from orbitforge import constructions as cons
+from orbitforge import group_engine as ge
 
 
 def _random_perms(rng, k, n):
@@ -63,24 +67,100 @@ def test_closure_paths_agree():
     assert len(K.closure_subgroup(mul, np.array([8]))) == 3
 
 
-def test_hom_checks():
+def _transposition_perms(rng, k, n):
+    """k rows, each the identity with one random pair of points swapped:
+    every row adds one edge, so classes merge slowly across blocks."""
+    perms = np.tile(np.arange(n, dtype=np.int64), (k, 1))
+    for row in perms:
+        i, j = rng.choice(n, size=2, replace=False)
+        row[[i, j]] = row[[j, i]]
+    return perms
+
+
+def _streamed_cases():
+    rng = np.random.default_rng(11)
+    yield _transposition_perms(rng, 1500, 2000), 2000
+    yield _transposition_perms(rng, 3000, 97), 97
+    yield _random_perms(rng, 700, 300), 300
+    G = cons.suzuki_B(3).group
+    assert G.n == 512
+    conj = np.array([G.conjugation_perm(g) for g in range(G.n)])
+    yield conj, G.n
+
+
+def test_orbit_labels_streamed_blocks():
+    for perms, n in _streamed_cases():
+        assert perms.size > 3 * K.BLOCK_CELLS
+        ref = K._orbit_labels_np(perms, n)     # one block, no skipping
+        assert np.array_equal(K.orbit_labels(perms, n), ref)
+        # start= chaining over a split of the rows gives the same classes
+        cuts = sorted(np.random.default_rng(n).choice(len(perms), 3,
+                                                      replace=False))
+        lab = None
+        for part in np.split(perms, cuts):
+            lab = K.orbit_labels(part, n, start=lab)
+        assert np.array_equal(lab, ref)
+
+
+def test_orbit_labels_block_bound(monkeypatch):
+    name = "_orbit_labels_nb" if K.HAS_NUMBA else "_orbit_labels_np"
+    inner = getattr(K, name)
+    rows = []
+
+    def spy(perms, n):
+        rows.append(perms.shape[0])
+        return inner(perms, n)
+
+    monkeypatch.setattr(K, name, spy)
+    rng = np.random.default_rng(3)
+    n = 300
+    perms = _transposition_perms(rng, 900, n)
+    assert np.array_equal(K.orbit_labels(perms, n), inner(perms, n))
+    # each kernel call sees one block plus the row of current labels
+    assert rows and max(rows) <= K.BLOCK_CELLS // n + 1
+
+
+def test_hom_on_generators():
     mul = _cyclic_mul(30).astype(np.int64)
+    G = ge.FiniteGroup(list(range(30)), mul)
     ident = np.arange(30, dtype=np.int64)
-    assert K.hom_table_ok(mul, mul, ident)
     neg = (-ident) % 30
-    assert K.hom_table_ok(mul, mul, neg)
-    dbl = (2 * ident) % 30          # not injective but still a hom check
-    assert K.hom_table_ok(mul, mul, dbl)
+    dbl = (2 * ident) % 30          # not injective but still a homomorphism
     bad = ident.copy()
     bad[[3, 7]] = bad[[7, 3]]
-    assert not K.hom_table_ok(mul, mul, bad)
+    # a bijection that respects the row of 2, the generator of the proper
+    # subgroup of even residues, but not the row of 1: odd x -> x + 2
+    sub = np.where(ident % 2, (ident + 2) % 30, ident)
+    assert np.array_equal(np.sort(sub), ident)
+    assert np.array_equal(sub[mul[2]], mul[sub[2], sub])
+    assert not np.array_equal(sub[mul[1]], mul[sub[1], sub])
+    got = ge.hom_on_generators(G, G, np.stack([ident, neg, bad, dbl, sub]))
+    assert got.tolist() == [True, True, False, True, False]
+    assert ge.hom_on_generators(G, G, np.empty((0, 30))).shape == (0,)
 
-    batch = np.stack([ident, neg, bad, dbl])
-    got = K.hom_ok_batch(mul, batch)
-    assert got.tolist() == [True, True, False, True]
-    ref = K._hom_ok_batch_np(mul, batch)
-    assert np.array_equal(got, ref)
-    assert K.hom_ok_batch(mul, np.empty((0, 30))).shape == (0,)
+
+def test_hom_on_generators_matches_full_table():
+    # every bijection of S3 and of Q8 fixing the identity: the generator
+    # proof agrees with the full n^2 table check, between distinct groups
+    # too (H is G relabelled)
+    elems = list(itertools.permutations(range(3)))
+    s3 = ge.FiniteGroup(elems, [[elems.index(tuple(a[i] for i in b))
+                                 for b in elems] for a in elems])
+    q8 = cons.extraspecial2(1, "-").group
+    for G in (s3, q8):
+        rest = [i for i in range(G.n) if i != G.e]
+        phis = np.array([[G.e] + list(p) for p in
+                         itertools.permutations(rest)], dtype=np.int64)
+        phis = phis[:, np.argsort([G.e] + rest)]
+        relabel = np.random.default_rng(G.n).permutation(G.n)
+        back = np.argsort(relabel)
+        H = ge.FiniteGroup(list(range(G.n)), relabel[G.mul[back][:, back]])
+        for K2, maps in ((G, phis), (H, relabel[phis])):
+            full = np.array([np.array_equal(ph[G.mul],
+                                            K2.mul[ph[:, None], ph[None, :]])
+                             for ph in maps])
+            assert full.any() and not full.all()
+            assert np.array_equal(ge.hom_on_generators(G, K2, maps), full)
 
 
 def test_env_flag_forces_numpy():

@@ -93,6 +93,35 @@ def test_q8_central_automorphisms():
     assert om.holomorph_rank(Q8) == 3
 
 
+def test_holomorph_rank_streamed():
+    S3 = perm_group([(1, 2, 0), (1, 0, 2)])
+    A4 = perm_group([(1, 2, 0, 3), (0, 2, 3, 1)])
+    for G in (S3, quat(), A4, direct([2, 2, 2])):
+        aut = om.brute_force_aut(G)
+        assert om.holomorph_rank(G, aut) == om.orbits(G, aut)["count"]
+        # right translations alone: n orbits on n^2 pairs
+        ident = om.AutomorphismSet(G, [np.arange(G.n)])
+        assert om.holomorph_rank(G, ident) == G.n
+
+
+def test_holomorph_one_pair_block(monkeypatch):
+    G = direct([2, 2, 2, 2])
+    aut = om.brute_force_aut(G)
+    assert len(aut) == 20160         # GL(4, 2): 79 blocks of 256 pair perms
+    count = om.orbits(G, aut)["count"]
+    inner = om.orbit_labels
+    sizes = []
+
+    def spy(perms, n, start=None):
+        sizes.append(perms.size)
+        return inner(perms, n, start=start)
+
+    monkeypatch.setattr(om, "orbit_labels", spy)
+    assert om.holomorph_rank(G, aut) == count == 2
+    # one block of right translations, then the automorphisms
+    assert len(sizes) == 80 and max(sizes) <= om.BLOCK_CELLS
+
+
 def test_q8_induced_pair():
     Q8 = quat()
     autq = om.brute_force_aut(Q8)
