@@ -25,9 +25,10 @@ from .constructions import (FamilyInstance, dornhoff_P, extraspecial2,
                             generic_quotient, gl3_tower, heisenberg_trace,
                             line1_abelian, line2_frobenius, sl3_pair,
                             suzuki_A, suzuki_B)
-from .hering import (MatrixGroupGens, gammaL1_gens, matrix_closure, sl_gens,
+from .hering import (MatrixGroupGens, gammaL1_gens, group_order, sl_gens,
                      sl2_5_search, solvable_residual, sp_gens,
                      transitive_on_nonzero)
+from .permgroup import PermGroup
 from .verify_suite import (run_job, special2_map_search, verify_four_orbit,
                            verify_gfgf_iso, verify_hering, verify_irredundant,
                            verify_table_line)
@@ -53,8 +54,9 @@ __all__ = [
     "FamilyInstance", "dornhoff_P", "extraspecial2", "generic_quotient",
     "gl3_tower", "heisenberg_trace", "line1_abelian", "line2_frobenius",
     "sl3_pair", "suzuki_A", "suzuki_B",
-    "MatrixGroupGens", "gammaL1_gens", "matrix_closure", "sl_gens",
+    "MatrixGroupGens", "gammaL1_gens", "group_order", "sl_gens",
     "sl2_5_search", "solvable_residual", "sp_gens", "transitive_on_nonzero",
+    "PermGroup",
     "run_job", "special2_map_search", "verify_four_orbit", "verify_gfgf_iso",
     "verify_hering", "verify_irredundant", "verify_table_line",
     "__version__",

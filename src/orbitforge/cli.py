@@ -35,7 +35,7 @@ def report_schema():
         "orbit_orders": "element order of each orbit, same row order",
         "subgroup_orders": "{Z, Gprime, Phi, N}; null where a cap "
                            "blocked the computation or not applicable",
-        "induced": "{A_order?, B_order?, A_transitive, B_transitive} "
+        "induced": "{A_order, B_order, A_transitive, B_transitive} "
                    "for the quotient/bottom layer actions",
         "witnesses": "claim-specific evidence; omitted when empty",
         "wall_ms": "wall-clock milliseconds for this claim",
@@ -120,9 +120,6 @@ def _add_common(sp):
                     help="Cayley table memory budget per group "
                          "(default %d bytes, order <= %d)"
                          % (8 * cons.SIZE_CAP ** 2, cons.SIZE_CAP))
-    sp.add_argument("--seed", type=int, default=0, metavar="S",
-                    help="seed for randomized subroutines (default 0; "
-                         "the stock verifiers are deterministic)")
 
 
 def _add_param_flags(sp, names):

@@ -16,6 +16,7 @@ from .gf_arith import (element_of_order, field_create, frob_table, is_prime,
                        subfield_embed, trace_table)
 from .group_engine import FiniteGroup
 from .orbit_machine import AutomorphismSet
+from .permgroup import PermGroup
 
 SIZE_CAP = 1 << 13
 
@@ -362,8 +363,8 @@ def heisenberg_trace(F, F0, d, *, cap=None):
                                     "d": d}, coder, table, perms, meta)
 
 
-def _gl3_action_cols(F, D, g, with_tower_x=None):
-    """Image columns of (v, w[, x]) under v -> vg, w -> w (g wedge g)."""
+def _gl3_action_cols(F, D, g):
+    """Image columns of (v, w) under v -> vg, w -> w (g wedge g)."""
     wg = lm.wedge_power_matrix(F, g, 2)
     vi = lm.vec_batch_apply(F, D[:, 0:3], g)
     wi = lm.vec_batch_apply(F, D[:, 3:6], wg)
@@ -412,8 +413,10 @@ def gl3_tower(F, F0, *, cap=None):
     [[x_i, x_j], x_k] = z^(-eps(ijk)).
 
     Associativity is proved, not sampled: the right-regular maps of the
-    seven polycyclic generators close into a permutation group of order
-    exactly 3^7 whose elements are the columns of the table.
+    seven polycyclic generators generate a permutation group of order
+    exactly 3^7 (its stabilizer chain says so), and the table's n = 3^7
+    columns are products of them, pairwise distinct by the Latin-square
+    check of FiniteGroup, so the columns are that group.
     """
     F = field_create(*F) if isinstance(F, tuple) else F
     F0 = field_create(*F0) if isinstance(F0, tuple) else F0
@@ -451,21 +454,7 @@ def gl3_tower(F, F0, *, cap=None):
         table[:, h] = gen_perms[t][table[:, prev]]
     if not np.array_equal(table[0], np.arange(n)):
         raise AssertionError("right-regular columns are misaligned")
-    seen = {p.tobytes() for p in gen_perms}
-    frontier = list(seen)
-    lookup = {np.arange(n).tobytes()} | seen
-    while frontier:
-        nxt = []
-        for pb in frontier:
-            p = np.frombuffer(pb, dtype=np.int64)
-            for g in gen_perms:
-                q = g[p]
-                qb = q.tobytes()
-                if qb not in lookup:
-                    lookup.add(qb)
-                    nxt.append(qb)
-        frontier = nxt
-    if len(lookup) != n:
+    if PermGroup(gen_perms, n).order() != n:
         raise AssertionError("collection closure has the wrong order")
     group = FiniteGroup(coder.elems(), table)
     if group.exponent() != 3 or \

@@ -131,12 +131,16 @@ class FiniteGroup:
         return self.mul[self.inv[g]][self.mul[:, g]]
 
     def class_labels(self):
+        """Conjugacy class labels, one block of conjugations at a time."""
         if "class_labels" not in self._cache:
-            n = self.n
-            perms = np.empty((n, n), dtype=np.int64)
-            for g in range(n):
-                perms[g] = self.conjugation_perm(g)
-            self._cache["class_labels"] = orbit_labels(perms, n)
+            n, mul, lab = self.n, self.mul, None
+            step = max(1, BLOCK_CELLS // n)
+            for lo in range(0, n, step):
+                g = np.arange(lo, min(lo + step, n))
+                # row t is conjugation_perm(g[t])
+                lab = orbit_labels(mul[self.inv[g][:, None], mul[:, g].T], n,
+                                   start=lab)
+            self._cache["class_labels"] = lab
         return self._cache["class_labels"]
 
     def class_sizes(self):

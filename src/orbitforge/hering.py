@@ -2,10 +2,13 @@
 
 Matrix groups are given by small generator lists over a finite field and
 act on row vectors.  Transitivity certificates come from vector-orbit
-BFS, never from full group enumeration; solvable residuals use matrix
-closure with a hard element cap.
+BFS, never from full group enumeration.  Group orders and solvable
+residuals come from stabilizer chains (permgroup) of the faithful action
+on the q^d vectors, so no element list is ever built; CLOSURE_CAP bounds
+the order any chain may reach.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +16,7 @@ import numpy as np
 from . import linalg_mod as lm
 from ._kernels import orbit_labels
 from .gf_arith import element_of_order, field_create, is_prime
+from .permgroup import PermGroup
 
 CLOSURE_CAP = 10 ** 6
 VECTOR_CAP = 1 << 20
@@ -30,55 +34,6 @@ class MatrixGroupGens:
         return field_create(*self.field)
 
 
-def _mat_key(M):
-    return np.ascontiguousarray(M.astype(np.int8)).tobytes()
-
-
-def _batch_mul(F, stack, M):
-    """Right-multiply a (B, d, d) stack by M over F."""
-    if F.k == 1:
-        return np.einsum("bij,jk->bik", stack, M) % F.p
-    out = np.empty_like(stack)
-    for t in range(len(stack)):
-        out[t] = lm.mat_mul(F, stack[t], M)
-    return out
-
-
-def _batch_lmul(F, M, stack):
-    """Left-multiply a (B, d, d) stack by M over F."""
-    if F.k == 1:
-        return np.einsum("ij,bjk->bik", M, stack) % F.p
-    out = np.empty_like(stack)
-    for t in range(len(stack)):
-        out[t] = lm.mat_mul(F, M, stack[t])
-    return out
-
-
-def matrix_closure(gens, cap=CLOSURE_CAP):
-    """All elements of the generated matrix group as a (N, d, d) array."""
-    F = gens.field_obj()
-    d = gens.d
-    eye = lm.identity_mat(d)
-    seen = {_mat_key(eye)}
-    elems = [eye]
-    frontier = np.array([eye], dtype=np.int64)
-    while len(frontier):
-        new = []
-        for M in gens.mats:
-            prod = _batch_mul(F, frontier, M)
-            for row in prod:
-                key = _mat_key(row)
-                if key not in seen:
-                    seen.add(key)
-                    new.append(row)
-                    if len(seen) > cap:
-                        raise ValueError("closure exceeds element cap")
-        elems.extend(new)
-        frontier = np.array(new, dtype=np.int64) if new else \
-            np.empty((0, d, d), dtype=np.int64)
-    return np.array(elems, dtype=np.int64)
-
-
 def _vector_perms(gens):
     F = gens.field_obj()
     d = gens.d
@@ -93,6 +48,13 @@ def _vector_perms(gens):
         img = lm.vec_batch_apply(F, V, M)
         perms.append(img @ weights)
     return np.array(perms, dtype=np.int64), n, weights
+
+
+def group_order(gens, cap=CLOSURE_CAP):
+    """Order of the generated matrix group, from a stabilizer chain of
+    its faithful action on the vectors; ValueError once it passes cap."""
+    perms, n, _ = _vector_perms(gens)
+    return PermGroup(perms, n, cap).order()
 
 
 def transitive_on_nonzero(gens):
@@ -183,65 +145,38 @@ def _factor_prime_power(q):
     raise ValueError(f"{q} is not a prime power")
 
 
-def _subgroup_closure(F, d, mats, cap):
-    gens = MatrixGroupGens((F.p, F.k), d, mats, "_tmp")
-    return matrix_closure(gens, cap)
-
-
 def solvable_residual(gens, cap=CLOSURE_CAP):
     """Iterated derived subgroup until stable, returned by generators.
 
-    Each derived step generates from commutators of the current
-    generators and closes under conjugation by them, so the result is
-    the true normal derived subgroup, not just a commutator span."""
-    F = gens.field_obj()
-    d = gens.d
-    cur = [np.asarray(M, dtype=np.int64) for M in gens.mats]
-    cur_size = len(_subgroup_closure(F, d, cur, cap))
+    Each derived subgroup is the normal closure of the commutators of
+    the current generators: their conjugates by the current generators
+    join until none is new.  A candidate joins only when the stabilizer
+    chain built so far does not contain it, so each chain has only a
+    few generators; the orders come from the chains."""
+    perms, n, weights = _vector_perms(gens)
+    cur = list(perms)
+    order = PermGroup(cur, n, cap).order()
     while True:
-        inv = [lm.mat_inv(F, M) for M in cur]
-        comms = []
-        for i, A in enumerate(cur):
-            for j, B in enumerate(cur):
-                if i == j:
-                    continue
-                C = lm.mat_mul(F, lm.mat_mul(F, inv[i], inv[j]),
-                               lm.mat_mul(F, A, B))
-                comms.append(C)
-        der = _dedupe(comms)
-        closure = _subgroup_closure(F, d, der, cap) if der else \
-            np.array([lm.identity_mat(d)], dtype=np.int64)
-        # a proper subgroup must still be closed under conjugation by
-        # the parent generators; a full-size one already is
-        while len(closure) < cur_size:
-            have = {_mat_key(M) for M in closure}
-            extra = []
-            for g, gi in zip(cur, inv):
-                conj_all = _batch_mul(F, _batch_lmul(F, gi, closure), g)
-                for M in conj_all:
-                    if _mat_key(M) not in have:
-                        extra.append(M)
-            if not extra:
-                break
-            der = _dedupe(der + extra)
-            closure = _subgroup_closure(F, d, der, cap)
-        der_size = len(closure)
-        if der_size == cur_size:
-            return MatrixGroupGens((F.p, F.k), d, cur, gens.label + "^inf",
-                                   {"order": cur_size, "perfect": True})
-        if der_size == 1:
-            return MatrixGroupGens((F.p, F.k), d, [lm.identity_mat(d)],
+        inv = [np.argsort(g) for g in cur]
+        der, chain = [], PermGroup([], n, cap)
+        for c in itertools.chain(
+                (b[a[bi[ai]]] for a, ai in zip(cur, inv)      # a^-1 b^-1 a b
+                 for b, bi in zip(cur, inv)),
+                (x[d[xi]] for d in der                  # x^-1 d x; der grows
+                 for x, xi in zip(cur, inv))):
+            if not chain.contains(c):
+                der.append(c)
+                chain = PermGroup(der, n, cap)
+        perfect = chain.order() == order
+        if perfect or chain.order() == 1:
+            # row r of a matrix is the image of the basis vector e_r
+            mats = [(g[weights][:, None] // weights % gens.field_obj().q)
+                    for g in cur] if perfect else [lm.identity_mat(gens.d)]
+            return MatrixGroupGens(gens.field, gens.d, mats,
                                    gens.label + "^inf",
-                                   {"order": 1, "perfect": False})
-        cur = [M for M in closure] if der_size <= 64 else der
-        cur_size = der_size
-
-
-def _dedupe(mats):
-    seen = {}
-    for M in mats:
-        seen.setdefault(_mat_key(M), M)
-    return list(seen.values())
+                                   {"order": chain.order(),
+                                    "perfect": perfect})
+        cur, order = der, chain.order()
 
 
 def sl2_5_search(p, max_candidates=None):
@@ -266,16 +201,13 @@ def sl2_5_search(p, max_candidates=None):
         tried += 1
         if max_candidates and tried > max_candidates:
             break
+        # -I is the only involution of SL_2(p), so an order-120 subgroup
+        # has exactly one
+        pair = MatrixGroupGens((p, 1), 2, [A, cand], "sl2_5")
         try:
-            grp = _subgroup_closure(F, 2, [A, cand], 150)
+            if group_order(pair, cap=120) != 120:
+                continue
         except ValueError:
-            continue
-        if len(grp) != 120:
-            continue
-        invol = [M for M in grp
-                 if np.array_equal(lm.mat_mul(F, M, M), lm.identity_mat(2))
-                 and not np.array_equal(M, lm.identity_mat(2))]
-        if len(invol) != 1:
             continue
         found = cand
         break

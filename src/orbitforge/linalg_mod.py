@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf_arith
-from .gf_arith import field_create, frob_table, trace_table
+from .gf_arith import field_create, trace_table
 
 
 # ------------------------------------------------------------ matrix algebra
@@ -459,9 +459,3 @@ def sp_lambda2_submodules(ell, q):
         "expected_D_in_W": (ell % p == 0),
         "ok": D_invariant and W_invariant and (d_in_w == (ell % p == 0)),
     }
-
-
-def vec_frobenius(F, V, i=1):
-    """Coordinatewise x -> x^(p^i) on a batch of vectors."""
-    tab = frob_table(F, i)
-    return tab[V]

@@ -16,10 +16,10 @@ import numpy as np
 from ._kernels import BLOCK_CELLS, orbit_labels
 from .group_engine import (_prime_power, all_automorphisms,
                            characteristic_core, hom_on_generators)
+from .permgroup import PermGroup
 
 AUT_ENUM_CAP = 1 << 9
 HOLOMORPH_CAP = 64
-PAIR_CLOSURE_CAP = 1 << 18
 
 
 class AutomorphismSet:
@@ -311,38 +311,20 @@ def central_automorphisms(G):
             if a[b] != expect:
                 raise AssertionError("displacement property fails")
     count = p ** (m_dim * n_dim)
-    if count <= (1 << 12):
-        if _perm_group_order(acts.perms, G.n, cap=count + 1) != count:
-            raise AssertionError("central automorphism count mismatch")
+    if count <= (1 << 12) and PermGroup(acts.perms, G.n).order() != count:
+        raise AssertionError("central automorphism count mismatch")
     return acts, p, m_dim, n_dim, count
-
-
-def _perm_group_order(perms, n, cap):
-    seen = {np.arange(n, dtype=np.int64).tobytes()}
-    frontier = [np.arange(n, dtype=np.int64)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in perms:
-                c = w[g]
-                key = c.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(c)
-                    if len(seen) >= cap:
-                        return len(seen)
-        frontier = nxt
-    return len(seen)
 
 
 # -------------------------------------------------------- induced actions
 
-def induced_pair(G, N, acts, *, closure_cap=PAIR_CLOSURE_CAP):
+def induced_pair(G, N, acts):
     """Quotient action on G/N and restriction to N for each generator,
-    with transitivity checks and (cap permitting) the joint closure
-    giving |A|, |B|, and |K|, the number of closure elements restricting
-    to the identity on N.  A_to_B_function reports whether acting
-    trivially on the quotient forces acting trivially on N; when it does
+    with transitivity checks and the orders of the induced groups: |A|
+    on the quotient, |B| on N, and |J| of the joint action on both,
+    which is faithful.  K = |J|/|B| counts the elements of J that act
+    trivially on N.  A_to_B_function reports whether acting trivially on
+    the quotient forces acting trivially on N (|J| = |A|); when it does
     (N central, for instance), K is the kernel of the map A -> B."""
     N = np.asarray(sorted(int(x) for x in N), dtype=np.int64)
     nmask = _membership(G.n, N)
@@ -376,58 +358,16 @@ def induced_pair(G, N, acts, *, closure_cap=PAIR_CLOSURE_CAP):
 
     a_trans = transitive(a_perms, qn, e_q)
     b_trans = transitive(b_perms, len(N), e_n)
-    a_order = b_order = k_order = fn_ok = None
-    if len(acts):
-        # row layout [a-part raw | b-part + qn]: composition is one gather
-        pair = np.concatenate([a_perms, b_perms + qn], axis=1)
-        ident = np.concatenate([np.arange(qn),
-                                np.arange(len(N)) + qn]).astype(np.int64)
-        seen = {ident.tobytes(): ident}
-        frontier = [ident]
-        over = False
-        while frontier and not over:
-            nxt = []
-            for w in frontier:
-                for g in pair:
-                    c = w[g]
-                    key = c.tobytes()
-                    if key not in seen:
-                        seen[key] = c
-                        nxt.append(c)
-                        if len(seen) > closure_cap:
-                            over = True
-                            break
-                if over:
-                    break
-            frontier = nxt
-        if not over:
-            all_rows = list(seen.values())
-            a_ident = np.arange(qn, dtype=np.int64).tobytes()
-            b_ident = (np.arange(len(N), dtype=np.int64) + qn).tobytes()
-            ka = kb = 0
-            a_seen, b_seen = set(), set()
-            fn_ok = True
-            for row in all_rows:
-                ak, bk = row[:qn].tobytes(), row[qn:].tobytes()
-                a_seen.add(ak)
-                b_seen.add(bk)
-                if ak == a_ident:
-                    ka += 1
-                    # a row trivial on the quotient but not on N kills
-                    # the induced map A -> B; happens when N is not
-                    # central, so report it instead of failing
-                    if bk != b_ident:
-                        fn_ok = False
-                if bk == b_ident:
-                    kb += 1
-            a_order, b_order, k_order = len(a_seen), len(b_seen), kb
-            if len(all_rows) != a_order * ka or len(all_rows) != b_order * kb:
-                raise AssertionError("pair closure bookkeeping broken")
+    a_order = PermGroup(a_perms, qn).order()
+    b_order = PermGroup(b_perms, len(N)).order()
+    # row layout [a-part raw | b-part + qn]: one permutation of both parts
+    pair = np.concatenate([a_perms, b_perms + qn], axis=1)
+    j_order = PermGroup(pair, qn + len(N)).order()
     return {
         "A_perms": a_perms, "B_perms": b_perms,
         "A_transitive": bool(a_trans), "B_transitive": bool(b_trans),
-        "A_order": a_order, "B_order": b_order, "K_order": k_order,
-        "A_to_B_function": fn_ok if a_order is not None else None,
+        "A_order": a_order, "B_order": b_order, "K_order": j_order // b_order,
+        "A_to_B_function": j_order == a_order,
         "quotient_size": qn, "N_size": len(N),
     }
 

@@ -69,14 +69,9 @@ def _omega_dict(om):
 
 
 def _induced_dict(ind):
-    d = {}
-    if ind["A_order"] is not None:
-        d["A_order"] = int(ind["A_order"])
-    if ind["B_order"] is not None:
-        d["B_order"] = int(ind["B_order"])
-    d["A_transitive"] = bool(ind["A_transitive"])
-    d["B_transitive"] = bool(ind["B_transitive"])
-    return d
+    return {"A_order": int(ind["A_order"]), "B_order": int(ind["B_order"]),
+            "A_transitive": bool(ind["A_transitive"]),
+            "B_transitive": bool(ind["B_transitive"])}
 
 
 def _subgroup_sizes(core):
@@ -93,6 +88,21 @@ def _caut_or_none(G):
         return central_automorphisms(G)[0]
     except ValueError:
         return None
+
+
+def _status(om, k, *, facts, pins, witnesses=()):
+    """Refuted only when the bounds exclude k, a fact about G fails, or
+    an orbit pin fails while omega is exactly k (the orbits are then the
+    Aut-orbits); verified when omega is exactly k and all checks hold;
+    otherwise inconclusive, also for a failed witness, a property of the
+    supplied automorphisms that Aut(G) as a whole may still have."""
+    if om["lower"] > k or om["upper"] < k or not all(facts):
+        return REFUTED
+    if om["exact"] != k:
+        return INCONCLUSIVE
+    if not all(pins):
+        return REFUTED
+    return VERIFIED if all(witnesses) else INCONCLUSIVE
 
 
 def _param_str(params):
@@ -154,6 +164,11 @@ def _build_line(line, params, cap):
     raise ValueError("line must be 1..7")
 
 
+# side conditions about the supplied automorphisms, not about G alone
+_ACTING_SET_CHECKS = ("orbit_lengths_formula", "A_transitive",
+                      "B_transitive")
+
+
 def verify_table_line(line, params, *, cap=None):
     """Three-orbit check for one table line at the given parameters."""
     t0 = time.perf_counter()
@@ -189,7 +204,7 @@ def verify_table_line(line, params, *, cap=None):
                 and np.array_equal(core["frattini"], core["N"]))
         checks["N_is_center_derived_frattini"] = same
         checks["m_ge_n"] = meta["m_dim"] >= meta["n_dim"]
-    if line != 2 and ind["A_to_B_function"] is not None:
+    if line != 2:
         checks["quotient_action_determines_N_action"] = \
             ind["A_to_B_function"]
     if line in (6, 7):
@@ -198,13 +213,11 @@ def verify_table_line(line, params, *, cap=None):
         checks["element_orders_124"] = \
             set(np.unique(G.orders()).tolist()) == {1, 2, 4}
 
-    problems = [k for k, v in checks.items() if not v]
-    if om["exact"] == 3 and not problems:
-        status = VERIFIED
-    elif om["exact"] is None and om["upper"] == 3 and not problems:
-        status = INCONCLUSIVE
-    else:
-        status = REFUTED
+    status = _status(
+        om, 3,
+        facts=[v for k, v in checks.items() if k not in _ACTING_SET_CHECKS],
+        pins=[checks["orbit_lengths_formula"]],
+        witnesses=[checks["A_transitive"], checks["B_transitive"]])
 
     witnesses = {
         "family": inst.tag,
@@ -612,24 +625,15 @@ def q8_on_c3c3():
     2x2 matrices over GF(3), acting on the natural plane."""
     gi = np.array([[0, 2], [1, 0]], dtype=np.int64)
     gj = np.array([[1, 1], [1, 2]], dtype=np.int64)
-    mats = [np.eye(2, dtype=np.int64)]
-    seen = {mats[0].tobytes()}
-    frontier = [mats[0]]
-    while frontier:
-        nxt = []
-        for M in frontier:
-            for g in (gi, gj):
-                P = (M @ g) % 3
-                if P.tobytes() not in seen:
-                    seen.add(P.tobytes())
-                    mats.append(P)
-                    nxt.append(P)
-        frontier = nxt
-    if len(mats) != 8:
-        raise AssertionError("matrix closure is not the quaternion group")
+    # the eight elements i^a j^b; a product table inside these eight
+    # proves they are closed, hence the group <i, j>
+    mats = [np.linalg.matrix_power(gi, a) @ np.linalg.matrix_power(gj, b)
+            % 3 for b in range(2) for a in range(4)]
     key = {M.tobytes(): t for t, M in enumerate(mats)}
-    qmul = np.array([[key[((a @ b) % 3).tobytes()] for b in mats]
-                     for a in mats], dtype=np.int64)
+    prods = [[((a @ b) % 3).tobytes() for b in mats] for a in mats]
+    if len(key) != 8 or not all(k in key for row in prods for k in row):
+        raise AssertionError("i^a j^b are not a group of order 8")
+    qmul = np.array([[key[k] for k in row] for row in prods], dtype=np.int64)
     elems = [(v0, v1, t) for v0 in range(3) for v1 in range(3)
              for t in range(8)]
     index = {el: i for i, el in enumerate(elems)}
@@ -697,15 +701,10 @@ def verify_four_orbit(family, params, *, cap=None):
     core = characteristic_core(G)
     sizes = _subgroup_sizes(core)
 
-    ok = om["report"]["lengths"] == expect
+    pins = [om["report"]["lengths"] == expect]
     if expect_orders is not None:
-        ok = ok and om["report"]["orders"] == expect_orders
-    if om["exact"] == len(expect) and ok:
-        status = VERIFIED
-    elif om["exact"] is None and om["upper"] == len(expect) and ok:
-        status = INCONCLUSIVE
-    else:
-        status = REFUTED
+        pins.append(om["report"]["orders"] == expect_orders)
+    status = _status(om, len(expect), facts=[], pins=pins)
 
     cid = "four-orbit:%s" % family
     if params:
@@ -734,19 +733,19 @@ def verify_hering(kind, params):
         params = {"d": int(params["d"]), "q": int(params["q"])}
         gens = hering.sp_gens(params["d"], params["q"])
         trans = hering.transitive_on_nonzero(gens)
-        closure = hering.matrix_closure(gens)
+        order = hering.group_order(gens)
         resid = hering.solvable_residual(gens)
-        witnesses["closure_order"] = len(closure)
+        witnesses["closure_order"] = order
         witnesses["residual_order"] = resid.meta["order"]
         witnesses["perfect"] = resid.meta["perfect"]
         witnesses["nonzero_vectors"] = params["q"] ** params["d"] - 1
         ok = trans and resid.meta["perfect"] \
-            and resid.meta["order"] == len(closure)
+            and resid.meta["order"] == order
     elif kind == "sl":
         params = {"d": int(params["d"]), "q": int(params["q"])}
         gens = hering.sl_gens(params["d"], params["q"])
         trans = hering.transitive_on_nonzero(gens)
-        witnesses["closure_order"] = len(hering.matrix_closure(gens))
+        witnesses["closure_order"] = hering.group_order(gens)
         witnesses["nonzero_vectors"] = params["q"] ** params["d"] - 1
         ok = trans
     elif kind == "sl2-5":

@@ -195,3 +195,22 @@ def test_find_isomorphism_random_relabel():
         phi = ge.find_isomorphism(A4, H)
         assert phi is not None
         assert np.array_equal(phi[A4.mul], H.mul[phi[:, None], phi[None, :]])
+
+
+def test_class_labels_in_blocks(monkeypatch):
+    from orbitforge import constructions as cons
+    G = cons.dornhoff_P().group
+    assert G.n >= 512
+    perms = np.array([G.conjugation_perm(g) for g in range(G.n)])
+    ref = ge.orbit_labels(perms, G.n)
+    sizes = []
+    inner = ge.orbit_labels
+
+    def spy(block, n, start=None):
+        sizes.append(block.size)
+        return inner(block, n, start=start)
+
+    monkeypatch.setattr(ge, "orbit_labels", spy)
+    G._cache.pop("class_labels", None)    # the constructor may have filled it
+    assert np.array_equal(G.class_labels(), ref)
+    assert len(sizes) > 1 and max(sizes) <= ge.BLOCK_CELLS

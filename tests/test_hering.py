@@ -13,9 +13,29 @@ def test_gammaL1_transitive():
         assert hr.transitive_on_nonzero(g)
 
 
+def _elements(gens):
+    """Every element of a matrix group, breadth first: the reference
+    the stabilizer chains are checked against."""
+    F = gens.field_obj()
+    eye = lm.identity_mat(gens.d)
+    seen = {eye.tobytes(): eye}
+    frontier = [eye]
+    while frontier:
+        nxt = []
+        for M in frontier:
+            for g in gens.mats:
+                P = lm.mat_mul(F, M, g)
+                if P.tobytes() not in seen:
+                    seen[P.tobytes()] = P
+                    nxt.append(P)
+        frontier = nxt
+    return list(seen.values())
+
+
 def test_sl_closures():
-    assert len(hr.matrix_closure(hr.sl_gens(2, 3))) == 24
-    assert len(hr.matrix_closure(hr.sl_gens(3, 3))) == 5616
+    assert hr.group_order(hr.sl_gens(2, 3)) == 24
+    assert hr.group_order(hr.sl_gens(3, 3)) == 5616
+    assert len(_elements(hr.sl_gens(2, 3))) == 24
     F = field_create(3, 1)
     for M in hr.sl_gens(3, 3).mats:
         assert lm.mat_det(F, M) == 1
@@ -49,7 +69,8 @@ def test_sl2_5_search():
     assert len(g.mats) == 2
     assert hr.transitive_on_nonzero(g)
     # unique involution: exactly one element squares to 1 besides 1
-    elems = hr.matrix_closure(g)
+    elems = _elements(g)
+    assert len(elems) == 120
     eye = lm.identity_mat(2)
     F = field_create(11, 1)
     sq = [M for M in elems
@@ -61,8 +82,9 @@ def test_sl2_5_search():
 
 
 def test_closure_cap():
-    with pytest.raises(ValueError):
-        hr.matrix_closure(hr.sl_gens(2, 3), cap=5)
+    with pytest.raises(ValueError, match=r"reached \d+, above the cap 5"):
+        hr.group_order(hr.sl_gens(2, 3), cap=5)
+    assert hr.group_order(hr.sl_gens(2, 3), cap=24) == 24
 
 
 def test_orbit_sizes():

@@ -165,3 +165,39 @@ def test_batteries_shape():
     assert len(vs.four_orbit_battery()) == 5
     assert vs.gfgf_battery() == [(3, 2, 1), (3, 4, 1), (3, 2, 2)]
     assert len(vs.hering_battery()) == 7
+
+
+def test_stripped_actions_are_inconclusive(monkeypatch):
+    # without the family's automorphisms the bounds do not meet and the
+    # acting set is not transitive; neither shows the claim is false
+    import dataclasses
+    from orbitforge.orbit_machine import AutomorphismSet
+    build = vs._build_line
+
+    def stripped(line, params, cap):
+        inst = build(line, params, cap)
+        return dataclasses.replace(inst, acts=AutomorphismSet(inst.group, []))
+
+    monkeypatch.setattr(vs, "_build_line", stripped)
+    rep = vs.verify_table_line(3, {"n": 3, "theta": 1})
+    assert rep["omega"] == {"lower": 3, "upper": 15}
+    assert rep["status"] == vs.INCONCLUSIVE
+    assert not rep["witnesses"]["side_conditions"]["A_transitive"]
+
+
+def test_status_rule():
+    def om(lower, upper):
+        return {"lower": lower, "upper": upper,
+                "exact": upper if lower == upper else None}
+
+    st = vs._status
+    assert st(om(3, 3), 3, facts=[True], pins=[True]) == vs.VERIFIED
+    assert st(om(4, 6), 3, facts=[True], pins=[True]) == vs.REFUTED
+    assert st(om(1, 2), 3, facts=[True], pins=[True]) == vs.REFUTED
+    assert st(om(3, 5), 3, facts=[False], pins=[True]) == vs.REFUTED
+    # pins count only when the bounds meet at k
+    assert st(om(3, 5), 3, facts=[True], pins=[False]) == vs.INCONCLUSIVE
+    assert st(om(3, 3), 3, facts=[True], pins=[False]) == vs.REFUTED
+    # a witness of the supplied automorphisms never refutes
+    assert st(om(3, 3), 3, facts=[True], pins=[True],
+              witnesses=[False]) == vs.INCONCLUSIVE
