@@ -3,28 +3,25 @@ orbits, built as explicit Cayley tables, plus the machinery to verify
 their orbit structure."""
 
 from .gf_arith import (FiniteField, element_of_order, field_create,
-                       frob_table, frobenius_apply, is_prime, norm_table,
-                       subfield_embed, trace_table, trace_to_subfield)
-from .linalg_mod import (identity_mat, mat_det, mat_inv, mat_mul, mat_pow,
-                         mat_rank, mat_vec, nullspace_basis,
-                         sp_lambda2_submodules, sp_multiplier,
-                         standard_symplectic, symplectic_transvection_gens,
-                         vec_batch_apply, wedge_kernel_report,
+                       frob_table, frobenius_apply, is_prime, subfield_embed,
+                       trace_table, trace_to_subfield)
+from .linalg_mod import (identity_mat, mat_det, mat_inv, mat_mul, mat_vec,
+                         nullspace_basis, sp_lambda2_submodules,
+                         sp_multiplier, standard_symplectic,
+                         symplectic_transvection_gens, vec_batch_apply,
                          wedge_power_matrix)
 from .group_engine import (CAYLEY_MAGIC, FiniteGroup, all_automorphisms,
                            characteristic_core, export_cayley,
                            find_isomorphism, group_from_oracle,
-                           import_cayley, is_isomorphic_bruteforce,
-                           order_profile, quotient)
+                           import_cayley)
 from .orbit_machine import (AutomorphismSet, brute_force_aut,
                             central_automorphisms, holomorph_rank,
                             induced_pair, inner_automorphisms,
                             invariant_features, linear_split, omega_exact,
                             omega_lower_bound, orbits, verify_automorphism)
 from .constructions import (FamilyInstance, dornhoff_P, extraspecial2,
-                            generic_quotient, gl3_tower, heisenberg_trace,
-                            line1_abelian, line2_frobenius, sl3_pair,
-                            suzuki_A, suzuki_B)
+                            gl3_tower, heisenberg_trace, line1_abelian,
+                            line2_frobenius, sl3_pair, suzuki_A, suzuki_B)
 from .hering import (MatrixGroupGens, gammaL1_gens, group_order, sl_gens,
                      sl2_5_search, solvable_residual, sp_gens,
                      transitive_on_nonzero)
@@ -37,22 +34,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FiniteField", "element_of_order", "field_create", "frob_table",
-    "frobenius_apply", "is_prime", "norm_table", "subfield_embed",
-    "trace_table", "trace_to_subfield",
-    "identity_mat", "mat_det", "mat_inv", "mat_mul", "mat_pow", "mat_rank",
-    "mat_vec", "nullspace_basis", "sp_lambda2_submodules", "sp_multiplier",
+    "frobenius_apply", "is_prime", "subfield_embed", "trace_table",
+    "trace_to_subfield",
+    "identity_mat", "mat_det", "mat_inv", "mat_mul", "mat_vec",
+    "nullspace_basis", "sp_lambda2_submodules", "sp_multiplier",
     "standard_symplectic", "symplectic_transvection_gens", "vec_batch_apply",
-    "wedge_kernel_report", "wedge_power_matrix",
+    "wedge_power_matrix",
     "CAYLEY_MAGIC", "FiniteGroup", "all_automorphisms",
     "characteristic_core", "export_cayley", "find_isomorphism",
-    "group_from_oracle", "import_cayley", "is_isomorphic_bruteforce",
-    "order_profile", "quotient",
+    "group_from_oracle", "import_cayley",
     "AutomorphismSet", "brute_force_aut", "central_automorphisms",
     "holomorph_rank", "induced_pair", "inner_automorphisms",
     "invariant_features", "linear_split", "omega_exact",
     "omega_lower_bound", "orbits", "verify_automorphism",
-    "FamilyInstance", "dornhoff_P", "extraspecial2", "generic_quotient",
-    "gl3_tower", "heisenberg_trace", "line1_abelian", "line2_frobenius",
+    "FamilyInstance", "dornhoff_P", "extraspecial2", "gl3_tower", "heisenberg_trace", "line1_abelian", "line2_frobenius",
     "sl3_pair", "suzuki_A", "suzuki_B",
     "MatrixGroupGens", "gammaL1_gens", "group_order", "sl_gens",
     "sl2_5_search", "solvable_residual", "sp_gens", "transitive_on_nonzero",

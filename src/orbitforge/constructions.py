@@ -16,7 +16,6 @@ from .gf_arith import (element_of_order, field_create, frob_table, is_prime,
                        subfield_embed, trace_table)
 from .group_engine import FiniteGroup
 from .orbit_machine import AutomorphismSet
-from .permgroup import PermGroup
 
 SIZE_CAP = 1 << 13
 
@@ -411,12 +410,6 @@ def gl3_tower(F, F0, *, cap=None):
     y_ij = [x_i, x_j] and z = [[x2, x1], x3]; triple commutators
     alternate (exponent 3 forces the 2-Engel law), so
     [[x_i, x_j], x_k] = z^(-eps(ijk)).
-
-    Associativity is proved, not sampled: the right-regular maps of the
-    seven polycyclic generators generate a permutation group of order
-    exactly 3^7 (its stabilizer chain says so), and the table's n = 3^7
-    columns are products of them, pairwise distinct by the Latin-square
-    check of FiniteGroup, so the columns are that group.
     """
     F = field_create(*F) if isinstance(F, tuple) else F
     F0 = field_create(*F0) if isinstance(F0, tuple) else F0
@@ -454,8 +447,6 @@ def gl3_tower(F, F0, *, cap=None):
         table[:, h] = gen_perms[t][table[:, prev]]
     if not np.array_equal(table[0], np.arange(n)):
         raise AssertionError("right-regular columns are misaligned")
-    if PermGroup(gen_perms, n).order() != n:
-        raise AssertionError("collection closure has the wrong order")
     group = FiniteGroup(coder.elems(), table)
     if group.exponent() != 3 or \
             [len(g) for g in group.gamma_series()] != [n, 81, 3, 1]:
@@ -587,72 +578,4 @@ def extraspecial2(k, eps, *, cap=None):
     perms = [lift_perm(g) for g in mats]
     meta = {"p": 2, "eps": eps, "k": k, "W_order": 2, "V_order": 2 ** d}
     return _instance("extraspecial2", {"k": k, "eps": eps},
-                     coder, table, perms, meta)
-
-
-# --------------------------------------------------- generic wedge quotient
-
-def generic_quotient(p, d, action_gens, U_basis):
-    """V x (Lambda^2 V / U) over GF(p) with the wedge-twisted rule; U is
-    given by basis rows and must be invariant under every action matrix."""
-    if p == 2:
-        raise ValueError("odd p required")
-    Fp = field_create(p, 1)
-    basis = lm.wedge_basis(d, 2)
-    L = len(basis)
-    U_basis = np.asarray(U_basis, dtype=np.int64).reshape(-1, L) % p
-    u_rank = lm.mat_rank(Fp, U_basis) if U_basis.size else 0
-    if U_basis.size and u_rank != U_basis.shape[0]:
-        raise ValueError("U basis rows must be independent")
-    c_dim = L - u_rank
-    if U_basis.size:
-        T = lm.nullspace_basis(Fp, U_basis.T).T
-    else:
-        T = np.eye(L, dtype=np.int64)
-    if T.shape != (L, c_dim):
-        raise AssertionError("annihilator dimension mismatch")
-    # section R with R @ T = identity
-    piv_rows = []
-    cur_rank = 0
-    for r in range(L):
-        cand = T[piv_rows + [r], :]
-        if lm.mat_rank(Fp, cand) > cur_rank:
-            piv_rows.append(r)
-            cur_rank += 1
-        if cur_rank == c_dim:
-            break
-    R = np.zeros((c_dim, L), dtype=np.int64)
-    R[:, piv_rows] = lm.mat_inv(Fp, T[piv_rows, :])
-    if not np.array_equal((R @ T) % p, np.eye(c_dim, dtype=np.int64)):
-        raise AssertionError("section construction failed")
-    _check_cap(p ** (d + c_dim))
-    coder = _Coder([p] * (d + c_dim))
-    D = coder.digits
-    V = D[:, :d]
-    cols = [(V[:, t][:, None] + V[:, t][None, :]) % p for t in range(d)]
-    wedge_cols = []
-    for (i, j) in basis:
-        a = V[:, i][:, None] * V[:, j][None, :]
-        b = V[:, j][:, None] * V[:, i][None, :]
-        wedge_cols.append((a - b) % p)
-    for t in range(c_dim):
-        acc = D[:, d + t][:, None] + D[:, d + t][None, :]
-        for r in range(L):
-            if T[r, t]:
-                acc = acc + T[r, t] * wedge_cols[r]
-        cols.append(acc % p)
-    table = coder.encode_cols(cols)
-    perms = []
-    for g in action_gens:
-        g = np.asarray(g, dtype=np.int64) % p
-        Wg = lm.wedge_power_matrix(Fp, g, 2)
-        M = (R @ ((Wg @ T) % p)) % p
-        if not np.array_equal((Wg @ T) % p, (T @ M) % p):
-            raise ValueError("U is not invariant under an action generator")
-        vi = (V @ g) % p
-        ci = (D[:, d:] @ M) % p
-        perms.append(coder.encode_cols([vi[:, t] for t in range(d)] +
-                                       [ci[:, t] for t in range(c_dim)]))
-    meta = {"p": p, "d": d, "codim": c_dim}
-    return _instance("genericQuotient", {"p": p, "d": d, "u_rank": u_rank},
                      coder, table, perms, meta)

@@ -392,19 +392,3 @@ def frob_table(F, i=1):
             ee >>= 1
         return out
     return np.array([F.pow_elem(x, e) for x in range(F.q)], dtype=np.int64)
-
-
-def norm_table(F, n):
-    """Vector of the norm map F -> GF(p^n) (indices in GF(p^n)), n | k."""
-    if F.k % n != 0:
-        raise ValueError("%d does not divide %d" % (n, F.k))
-    F_sub = field_create(F.p, n)
-    emb = _embedding_cached(F_sub, F)
-    back = {int(v): i for i, v in enumerate(emb)}
-    out = np.zeros(F.q, dtype=np.int64)
-    for x in range(F.q):
-        acc = 1
-        for j in range(F.k // n):
-            acc = F.mul_elems(acc, frobenius_apply(F, x, n * j))
-        out[x] = back[int(acc)] if x else back[0]
-    return out

@@ -2,12 +2,14 @@
 
 A group is a sorted list of element codes (tuples of small ints, or plain
 ints) plus an (n, n) index table.  Everything downstream -- orders,
-center, conjugacy classes, derived and Frattini subgroups, quotients,
+center, conjugacy classes, derived and Frattini subgroups,
 and the isomorphism / automorphism search -- works on the table.
 
-Caps: full associativity check at |G| <= 256 (sampled above), Frattini
-via the subgroup lattice at |G| <= 512 for non-p-groups, isomorphism
-search at |G| <= 1024.
+Every table is proved a group on construction: Latin square, two-sided
+identity and inverses, and associativity by Light's test on a generating
+set, at n^2 * |gens| cost for every order.  Caps: Frattini via the
+subgroup lattice at |G| <= 512 for non-p-groups, isomorphism search at
+|G| <= 1024.
 """
 
 import math
@@ -19,7 +21,6 @@ import numpy as np
 
 from ._kernels import BLOCK_CELLS, closure_subgroup, orbit_labels
 
-ASSOC_FULL_CAP = 256
 LATTICE_CAP = 512
 ISO_CAP = 1 << 10
 PGROUP_CAP = 1 << 13
@@ -47,7 +48,7 @@ def _prime_power(n):
 class FiniteGroup:
     """Immutable once built; caches fill lazily."""
 
-    def __init__(self, elems, mul, *, validate=True, assoc_full=None):
+    def __init__(self, elems, mul):
         self.elems = list(elems)
         self.n = len(self.elems)
         self.index = {c: i for i, c in enumerate(self.elems)}
@@ -59,12 +60,11 @@ class FiniteGroup:
         if self.mul.shape != (self.n, self.n):
             raise ValueError("table shape mismatch")
         self._cache = {}
-        if validate:
-            self._validate(assoc_full)
+        self._validate()
 
     # ------------------------------------------------------------- checks
 
-    def _validate(self, assoc_full):
+    def _validate(self):
         n, mul = self.n, self.mul
         ar = np.arange(n, dtype=np.int64)
         if mul.min() < 0 or mul.max() >= n:
@@ -77,27 +77,30 @@ class FiniteGroup:
         if len(ident) != 1:
             raise ValueError("no two-sided identity")
         self.e = ident[0]
+        # each row of a Latin square holds e exactly once
         inv = np.empty(n, dtype=np.int64)
         rows, cols = np.nonzero(mul == self.e)
-        if len(rows) != n:
-            raise ValueError("inverses not unique")
         inv[rows] = cols
         for i in range(n):
             if mul[inv[i], i] != self.e:
                 raise ValueError("left/right inverse mismatch")
         self.inv = inv
-        if assoc_full is None:
-            assoc_full = n <= ASSOC_FULL_CAP
-        if assoc_full:
-            for i in range(n):
-                if not np.array_equal(mul[mul[i]], mul[i][mul]):
-                    raise ValueError(f"associativity fails at element {i}")
-        else:
-            rng = np.random.RandomState(0)
-            for _ in range(1000):
-                i, j, k = rng.randint(0, n, size=3)
-                if mul[mul[i, j], k] != mul[i, mul[j, k]]:
-                    raise ValueError("associativity fails on sampled triple")
+        # Light's associativity test: (xs)y = x(sy) for every x, y and
+        # every s of the generating sequence, rows of x in blocks.  The s
+        # that pass are closed under products ((x(st))y = ((xs)t)y =
+        # (xs)(ty) = x(s(ty)) = x((st)y)) and closure() builds the
+        # generated set from products alone, so this proves the table
+        # associative.  The sequence is well defined on any Latin square
+        # with an identity: right multiplication is a permutation, so
+        # orders() ends, and classes and closures are sets of entries.
+        step = max(1, BLOCK_CELLS // n)
+        for s in self.generating_sequence():
+            sy = mul[s]
+            for lo in range(0, n, step):
+                xs = mul[lo:lo + step, s]
+                if not np.array_equal(mul[xs], mul[lo:lo + step][:, sy]):
+                    raise ValueError("associativity fails at generator %d"
+                                     % s)
 
     # -------------------------------------------------------------- basics
 
@@ -179,19 +182,6 @@ class FiniteGroup:
         return tuple(sorted(cnt.items()))
 
     # ----------------------------------------------- subgroup machinery
-
-    def is_subgroup(self, idx):
-        idx = np.asarray(sorted(idx), dtype=np.int64)
-        return np.array_equal(self.closure(idx), idx)
-
-    def is_normal(self, idx):
-        idx = np.asarray(sorted(idx), dtype=np.int64)
-        member = np.zeros(self.n, dtype=bool)
-        member[idx] = True
-        for g in range(self.n):
-            if not member[self.mul[self.inv[g], self.mul[idx, g]]].all():
-                return False
-        return True
 
     def all_subgroups(self):
         """Every subgroup, grown by cyclic extension; |G| <= 512."""
@@ -287,31 +277,36 @@ class FiniteGroup:
     def generating_sequence(self):
         """Greedy: highest element order first, then smallest class."""
         if "gens" not in self._cache:
-            if self.n == 1:
-                self._cache["gens"] = []
-                return []
             orders = self.orders()
             csz = self.class_sizes()
             cand = sorted(range(self.n),
                           key=lambda i: (-int(orders[i]), int(csz[i]), i))
-            gens = []
-            cur = self.closure([self.e])
-            member = np.zeros(self.n, dtype=bool)
-            member[cur] = True
-            for c in cand:
-                if member[c]:
-                    continue
-                gens.append(c)
-                cur = self.closure(list(cur) + [c])
-                member[:] = False
-                member[cur] = True
-                if len(cur) == self.n:
-                    break
-            self._cache["gens"] = gens
+            self._cache["gens"] = self.greedy_generators(cand, [self.e])
         return self._cache["gens"]
 
+    def greedy_generators(self, cand, start):
+        """The members of cand, in order, that are not yet in the closure
+        of start and the members taken before them; stops once that
+        closure has len(cand) elements, so cand should list a subgroup
+        holding start."""
+        gens = []
+        cur = self.closure(start)
+        member = np.zeros(self.n, dtype=bool)
+        member[cur] = True
+        for c in cand:
+            c = int(c)
+            if member[c]:
+                continue
+            gens.append(c)
+            cur = self.closure(list(cur) + [c])
+            member[:] = False
+            member[cur] = True
+            if len(cur) == len(cand):
+                break
+        return gens
 
-def group_from_oracle(elements, mul, *, assoc_full=None):
+
+def group_from_oracle(elements, mul):
     """Build a FiniteGroup from element codes and either a multiplication
     callable on codes or a precomputed index table (elements then must
     already be sorted)."""
@@ -324,8 +319,8 @@ def group_from_oracle(elements, mul, *, assoc_full=None):
             row = table[i]
             for j, b in enumerate(elems):
                 row[j] = index[mul(a, b)]
-        return FiniteGroup(elems, table, assoc_full=assoc_full)
-    return FiniteGroup(elements, mul, assoc_full=assoc_full)
+        return FiniteGroup(elems, table)
+    return FiniteGroup(elements, mul)
 
 
 def characteristic_core(G):
@@ -341,26 +336,6 @@ def characteristic_core(G):
         N = G.closure(np.unique(np.concatenate([D, phi])))
     return {"center": Z, "derived": D, "frattini": phi, "N": N,
             "gamma": G.gamma_series()}
-
-
-def quotient(G, M):
-    """G / M for normal M, with least-member coset representatives."""
-    M = np.asarray(sorted(M), dtype=np.int64)
-    if not G.is_subgroup(M):
-        raise ValueError("M is not a subgroup")
-    if not G.is_normal(M):
-        raise ValueError("M is not normal")
-    L = G.mul[:, M].min(axis=1)
-    reps = np.unique(L)
-    relabel = np.full(G.n, -1, dtype=np.int64)
-    relabel[reps] = np.arange(len(reps))
-    table = relabel[L[G.mul[np.ix_(reps, reps)]]]
-    elems = [G.elems[int(r)] for r in reps]
-    return FiniteGroup(elems, table)
-
-
-def order_profile(G):
-    return G.order_profile()
 
 
 # ----------------------------------------------------------- Cayley files
@@ -558,12 +533,6 @@ def find_isomorphism(G, H):
     assert hom_on_generators(G, H, phi)[0]
     assert np.array_equal(np.sort(phi), np.arange(G.n))
     return phi
-
-
-def is_isomorphic_bruteforce(G, H):
-    """(answer, witness map or None)."""
-    phi = find_isomorphism(G, H)
-    return (phi is not None), phi
 
 
 def all_automorphisms(G, cap=1 << 9):

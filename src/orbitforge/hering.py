@@ -193,11 +193,17 @@ def sl2_5_search(p, max_candidates=None):
     quads = np.stack([(idx // p ** t) % p for t in (3, 2, 1, 0)], axis=1)
     det = (quads[:, 0] * quads[:, 3] - quads[:, 1] * quads[:, 2]) % p
     sl2 = quads[det == 1].reshape(-1, 2, 2)
+    # order exactly 10: M^10 = I, M^5 != I and M^2 != I (entries are the
+    # residues mod p, so plain integer matrix products serve)
+    M2 = sl2 @ sl2 % p
+    M5 = (M2 @ M2 % p) @ sl2 % p
+    eye = np.eye(2, dtype=np.int64)
+    order10 = (np.all(M5 @ M5 % p == eye, axis=(1, 2))
+               & np.any(M5 != eye, axis=(1, 2))
+               & np.any(M2 != eye, axis=(1, 2)))
     found = None
     tried = 0
-    for cand in sl2:
-        if _mat_order(F, cand, 21) != 10:
-            continue
+    for cand in sl2[order10]:
         tried += 1
         if max_candidates and tried > max_candidates:
             break
@@ -224,12 +230,3 @@ def sl2_5_search(p, max_candidates=None):
         raise RuntimeError("augmented generators are not transitive")
     return out
 
-
-def _mat_order(F, M, cap):
-    eye = lm.identity_mat(M.shape[0])
-    P = M
-    for k in range(1, cap + 1):
-        if np.array_equal(P, eye):
-            return k
-        P = lm.mat_mul(F, P, M)
-    return 0

@@ -8,13 +8,12 @@ holds entrywise.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf_arith
-from .gf_arith import field_create, trace_table
+from .gf_arith import field_create
 
 
 # ------------------------------------------------------------ matrix algebra
@@ -45,17 +44,6 @@ def vec_batch_apply(F, V, M):
     for i in range(M.shape[0]):
         out = F.add[out, F.mul[V[:, i][:, None], M[i][None, :]]]
     return out
-
-
-def mat_pow(F, M, e):
-    R = identity_mat(M.shape[0])
-    B = M
-    while e:
-        if e & 1:
-            R = mat_mul(F, R, B)
-        B = mat_mul(F, B, B)
-        e >>= 1
-    return R
 
 
 def mat_det(F, M):
@@ -106,29 +94,6 @@ def mat_inv(F, M):
                 A[r] = F.add[A[r], F.neg[F.mul[c, A[col]]]]
                 I[r] = F.add[I[r], F.neg[F.mul[c, I[col]]]]
     return I
-
-
-def mat_rank(F, M):
-    A = M.copy()
-    rows, cols = A.shape
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if A[r, col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        A[[rank, piv]] = A[[piv, rank]]
-        inv_p = F.inv_elem(int(A[rank, col]))
-        A[rank] = F.mul[inv_p, A[rank]]
-        for r in range(rows):
-            if r != rank and A[r, col] != 0:
-                c = int(A[r, col])
-                A[r] = F.add[A[r], F.neg[F.mul[c, A[rank]]]]
-        rank += 1
-    return rank
 
 
 def nullspace_basis(F, M):
@@ -231,106 +196,6 @@ def wedge_power_matrix(F, g, k):
             t2 = F.mul_elems(int(g[i, b]), int(g[j, a]))
             M[r, s] = F.add_elems(t1, F.neg_elem(t2))
     return M
-
-
-def wedge_kernel_report(F, d, k, sample=10_000, exhaustive=False, seed=0):
-    """Scalar and determinant checks for the kernel of g -> wedge^k g."""
-    report = {"field": (F.p, F.k), "d": d, "k": k}
-    kernel_scalars = []
-    for lam in range(1, F.q):
-        lam_k = F.pow_elem(lam, k)
-        if lam_k == 1:
-            kernel_scalars.append(lam)
-    # scalars act on the wedge by lambda^k, so membership is lambda^k = 1
-    for lam in kernel_scalars:
-        scalar_mat = np.where(identity_mat(d) == 1, lam, 0).astype(np.int64)
-        M = wedge_power_matrix(F, scalar_mat, k)
-        assert np.array_equal(M, identity_mat(M.shape[0]))
-    report["kernel_scalar_count"] = len(kernel_scalars)
-    report["kernel_scalar_count_expected"] = math.gcd(k, F.q - 1)
-    report["scalars_ok"] = (len(kernel_scalars) == math.gcd(k, F.q - 1))
-    if k == d:
-        total = F.q ** (d * d)
-        sl_ok = True
-        if exhaustive or total <= 10 ** 6:
-            count = 0
-            for flat in itertools.product(range(F.q), repeat=d * d):
-                g = np.array(flat, dtype=np.int64).reshape(d, d)
-                if mat_det(F, g) == 1:
-                    count += 1
-                    if wedge_power_matrix(F, g, k)[0, 0] != 1:
-                        sl_ok = False
-        else:
-            rng = np.random.RandomState(seed)
-            count = 0
-            while count < sample:
-                g = rng.randint(0, F.q, size=(d, d)).astype(np.int64)
-                det = mat_det(F, g)
-                if det == 0:
-                    continue
-                # force determinant 1 by scaling the first row
-                g[0] = [F.mul_elems(F.inv_elem(det), int(x)) for x in g[0]]
-                count += 1
-                if wedge_power_matrix(F, g, k)[0, 0] != 1:
-                    sl_ok = False
-        report["sl_in_kernel"] = sl_ok
-        report["sl_checked"] = count
-    return report
-
-
-# --------------------------------------------------- trace hyperplane (U)
-
-class TraceHyperplane:
-    """Kernel U of  Lambda^2(V over GF(p)) -> F0,  v1^v2 -> Tr(f(v1, v2)).
-
-    V = F^d with an alternating non-degenerate F-form f; everything is
-    re-expressed over the prime field GF(p).  The quotient Lambda^2/U is
-    identified with F0 itself: the coset label of a wedge coordinate
-    vector is its image under the trace functional.
-    """
-
-    def __init__(self, form, F0_degree):
-        F = form.field
-        p = F.p
-        if not form.alternating or not form.non_degenerate:
-            raise ValueError("need an alternating non-degenerate form")
-        if F.k % F0_degree != 0:
-            raise ValueError("F0 must be a subfield")
-        d = form.gram.shape[0]
-        self.F = F
-        self.F0 = field_create(p, F0_degree)
-        self.Fp = field_create(p, 1)
-        self.dim_V_p = d * F.k
-        self.pair_basis = wedge_basis(self.dim_V_p, 2)
-        tr = trace_table(F, F0_degree)
-        # prime-field basis vector a = (coordinate i, field basis power s)
-        basis_vecs = []
-        for i in range(d):
-            for s in range(F.k):
-                v = np.zeros(d, dtype=np.int64)
-                v[i] = p ** s  # field element t^s
-                basis_vecs.append(v)
-        self.basis_vecs = basis_vecs
-        n0 = F0_degree
-        # T[r] = F0-value (as digit vector) of the pair basis element r
-        T = np.zeros((len(self.pair_basis), n0), dtype=np.int64)
-        for r, (a, b) in enumerate(self.pair_basis):
-            val = form_eval(form, basis_vecs[a], basis_vecs[b])
-            T[r] = self.F0.digits_of(int(tr[val]))
-        self.T = T
-        self.codim = mat_rank(self.Fp, T)
-        self.U_basis = nullspace_basis(self.Fp, T)
-        self.form = form
-
-    def quotient_label(self, wedge_coords):
-        """F0 element index of the coset of U containing the given
-        Lambda^2 coordinate vector (over GF(p))."""
-        digs = (wedge_coords @ self.T) % self.F.p
-        return int(self.F0.from_digits(list(digs)))
-
-
-def trace_hyperplane(form, F0_degree):
-    return TraceHyperplane(form, F0_degree)
 
 
 # --------------------------------------------- Sp generators and submodules

@@ -156,27 +156,6 @@ def omega_exact(G, acts, *, caut=None, inner=True):
 
 # ------------------------------------------------- central automorphisms
 
-def _fp_basis(G, ambient, start, p):
-    """Greedy elements of `ambient` extending closure(start) by factors
-    of p until the closure covers ambient."""
-    basis = []
-    cur = G.closure(start)
-    target = len(ambient)
-    member = np.zeros(G.n, dtype=bool)
-    member[cur] = True
-    for g in ambient:
-        g = int(g)
-        if member[g]:
-            continue
-        basis.append(g)
-        cur = G.closure(list(cur) + [g])
-        member[:] = False
-        member[cur] = True
-        if len(cur) == target:
-            break
-    return basis
-
-
 def linear_split(G):
     """Layer coordinates for a p-group with 1 < N <= Z(G) and both N and
     G/N elementary abelian: bases for the two layers, additive coset
@@ -198,8 +177,8 @@ def linear_split(G):
         raise ValueError("N is not elementary abelian")
     n_dim = round(math.log(len(N), p))
     m_dim = round(math.log(G.n // len(N), p))
-    w_basis = _fp_basis(G, N, [G.e], p)
-    v_basis = _fp_basis(G, np.arange(G.n), N, p)
+    w_basis = G.greedy_generators(N, [G.e])
+    v_basis = G.greedy_generators(np.arange(G.n), N)
     if len(w_basis) != n_dim or len(v_basis) != m_dim:
         raise ValueError("basis extraction failed")
     # coset coordinates: BFS over the quotient by N

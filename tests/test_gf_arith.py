@@ -1,9 +1,8 @@
 import numpy as np
 
 from orbitforge.gf_arith import (element_of_order, field_create, frob_table,
-                                 frobenius_apply, is_prime, norm_table,
-                                 subfield_embed, trace_table,
-                                 trace_to_subfield)
+                                 frobenius_apply, is_prime, subfield_embed,
+                                 trace_table, trace_to_subfield)
 
 
 def test_is_prime_small():
@@ -92,17 +91,6 @@ def test_trace_tower_transitive():
     F3 = field_create(2, 3)
     low = trace_table(F3, 1)
     assert np.array_equal(low[mid], trace_table(F, 1))
-
-
-def test_norm_multiplicative():
-    F = field_create(3, 2)
-    nt = norm_table(F, 1)
-    rng = np.random.RandomState(4)
-    for _ in range(80):
-        a, b = int(rng.randint(F.q)), int(rng.randint(F.q))
-        assert nt[F.mul_elems(a, b)] == (nt[a] * nt[b]) % 3
-    # norm maps the units onto the subfield units
-    assert nt[0] == 0 and set(nt[1:].tolist()) == {1, 2}
 
 
 def test_subfield_embed():

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,10 +74,8 @@ def test_cyclic_basics():
     assert C4.order_profile() == ((1, 1), (2, 1), (4, 2))
     assert C4.exponent() == 4
     assert len(C4.center()) == 4
-    ok, phi = ge.is_isomorphic_bruteforce(C4, direct([2, 2]))
-    assert not ok and phi is None
-    ok, phi = ge.is_isomorphic_bruteforce(C4, cyclic(4))
-    assert ok and phi is not None
+    assert ge.find_isomorphism(C4, direct([2, 2])) is None
+    assert ge.find_isomorphism(C4, cyclic(4)) is not None
 
 
 def test_s3():
@@ -120,20 +119,7 @@ def test_d4_not_q8():
     D4 = perm_group([(1, 2, 3, 0), (1, 0, 3, 2)])
     assert D4.n == 8
     assert len(ge.all_automorphisms(D4)) == 8
-    ok, _ = ge.is_isomorphic_bruteforce(D4, quat())
-    assert not ok
-
-
-def test_quotients():
-    Q8 = quat()
-    Qz = ge.quotient(Q8, Q8.center())
-    assert Qz.n == 4 and Qz.exponent() == 2
-    ok, _ = ge.is_isomorphic_bruteforce(Qz, direct([2, 2]))
-    assert ok
-    S3 = perm_group([(1, 2, 0), (1, 0, 2)])
-    assert ge.quotient(S3, S3.derived()).n == 2
-    with pytest.raises(ValueError):
-        ge.quotient(S3, S3.closure([S3.index[(1, 0, 2)]]))
+    assert ge.find_isomorphism(D4, quat()) is None
 
 
 def test_gamma_series():
@@ -174,6 +160,57 @@ def test_cayley_rejects_bad_sizes(tmp_path):
         path.write_bytes(bad)
         with pytest.raises(ValueError):
             ge.import_cayley(str(path))
+
+
+def intercalate_swap(n):
+    """Z_n with the intercalate in rows 1, 1+h and columns 2, 2+h
+    (h = n/2) swapped: still a Latin square with identity 0, but not
+    associative."""
+    h = n // 2
+    ar = np.arange(n)
+    mul = (ar[:, None] + ar[None, :]) % n
+    rows = [1, 1, 1 + h, 1 + h]
+    mul[rows, [2, 2 + h, 2, 2 + h]] = mul[rows, [2 + h, 2, 2 + h, 2]]
+    return mul
+
+
+def octonion_loop():
+    """The 16 units +-e0..+-e7 (code i + 8 for -e_i) under the octonion
+    product with e_i e_{i+1} = e_{i+3}, indices mod 7 in 1..7."""
+    sign = np.ones((8, 8), dtype=np.int64)
+    prod = np.zeros((8, 8), dtype=np.int64)
+    prod[0, :] = prod[:, 0] = np.arange(8)
+    for i in range(1, 8):
+        prod[i, i], sign[i, i] = 0, -1
+        a, b, c = i, i % 7 + 1, (i + 2) % 7 + 1
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            prod[x, y] = prod[y, x] = z
+            sign[y, x] = -1
+    codes = np.arange(16)
+    s, u = np.where(codes < 8, 1, -1), codes % 8
+    val = s[:, None] * s[None, :] * sign[u[:, None], u[None, :]]
+    return prod[u[:, None], u[None, :]] + 8 * (val < 0)
+
+
+@pytest.mark.parametrize("n", [258, 300, 512])
+def test_intercalate_swap_is_rejected(n, tmp_path):
+    mul = intercalate_swap(n)
+    assert np.all(np.sort(mul, axis=0) == np.arange(n)[:, None])
+    with pytest.raises(ValueError, match="associativity"):
+        ge.FiniteGroup(list(range(n)), mul)
+    # the same table arriving from outside, as a Cayley file
+    path = str(tmp_path / "bad.g3o")
+    ge.export_cayley(SimpleNamespace(n=n, mul=mul), path)
+    with pytest.raises(ValueError, match="associativity"):
+        ge.import_cayley(path)
+
+
+def test_octonion_loop_is_rejected():
+    mul = octonion_loop()
+    assert np.all(np.sort(mul, axis=1) == np.arange(16))
+    assert np.all(np.sort(mul, axis=0) == np.arange(16)[:, None])
+    with pytest.raises(ValueError, match="associativity"):
+        ge.FiniteGroup(list(range(16)), mul)
 
 
 def test_d6_aut():

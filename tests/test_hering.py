@@ -68,6 +68,9 @@ def test_sl2_5_search():
     assert g.meta == {"order": 120, "p": 11}
     assert len(g.mats) == 2
     assert hr.transitive_on_nonzero(g)
+    # the first order-10 matrix of SL_2(11), in entry order, that makes
+    # an order-120 pair with the order-4 generator
+    assert g.mats[1].tolist() == [[0, 2], [5, 4]]
     # unique involution: exactly one element squares to 1 besides 1
     elems = _elements(g)
     assert len(elems) == 120
