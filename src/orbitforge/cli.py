@@ -328,15 +328,8 @@ def _do_orbits(args, out):
 
 
 def _line_params_from_args(line, args):
-    names = {1: ("p", "n"), 2: ("p", "r"), 3: ("n", "theta"),
-             4: ("n", "eps_choice"), 5: (), 6: ("q",),
-             7: ("p", "m", "n", "b")}[line]
-    prm = {}
-    for k in names:
-        v = getattr(args, k, None)
-        if v is not None:
-            prm[k] = v
-    return prm
+    return {k: getattr(args, k) for k in vs._LINE_PARAM_ORDER[line]
+            if getattr(args, k, None) is not None}
 
 
 def _do_verify_line(args, out):

@@ -154,9 +154,8 @@ class FiniteGroup:
         return counts[invidx]
 
     def closure(self, seed):
-        seed = np.asarray(sorted(set(int(s) for s in seed) | {self.e}),
-                          dtype=np.int64)
-        return closure_subgroup(self.mul, seed)
+        return closure_subgroup(self.mul, np.append(
+            np.asarray(seed, dtype=np.int64), self.e))
 
     def derived(self):
         if "derived" not in self._cache:
@@ -184,30 +183,31 @@ class FiniteGroup:
     # ----------------------------------------------- subgroup machinery
 
     def all_subgroups(self):
-        """Every subgroup, grown by cyclic extension; |G| <= 512."""
+        """Every subgroup, by cyclic extension (Holt, Eick & O'Brien,
+        Handbook of Computational Group Theory, 2005): each subgroup H is
+        queued with the generators that built it and extended by one g
+        from each right coset Hg outside H, since <H, g> = <H, hg>;
+        |G| <= 512."""
         if self.n > LATTICE_CAP:
-            raise ValueError("subgroup lattice cap exceeded")
+            raise ValueError("subgroup lattice: group order %d exceeds cap %d"
+                             % (self.n, LATTICE_CAP))
         if "subgroups" not in self._cache:
-            seen = {}
-            queue = deque()
-            triv = self.closure([self.e])
-            seen[triv.tobytes()] = triv
-            queue.append(triv)
+            triv = self.closure([])
+            seen = {triv.tobytes(): triv}
+            queue = deque([(triv, [])])
             while queue:
-                H = queue.popleft()
-                member = np.zeros(self.n, dtype=bool)
-                member[H] = True
+                H, hgens = queue.popleft()
+                covered = np.zeros(self.n, dtype=bool)
+                covered[H] = True
                 for g in range(self.n):
-                    if member[g]:
+                    if covered[g]:
                         continue
-                    K = closure_subgroup(
-                        self.mul,
-                        np.asarray(sorted(set(H.tolist()) | {g}),
-                                   dtype=np.int64))
+                    covered[self.mul[H, g]] = True
+                    K = closure_subgroup(self.mul, hgens + [g])
                     key = K.tobytes()
                     if key not in seen:
                         seen[key] = K
-                        queue.append(K)
+                        queue.append((K, hgens + [g]))
             self._cache["subgroups"] = sorted(seen.values(),
                                               key=lambda a: (len(a),
                                                              a.tolist()))
@@ -231,7 +231,8 @@ class FiniteGroup:
                 phi = np.array([self.e], dtype=np.int64)
             elif pp is not None:
                 if self.n > PGROUP_CAP:
-                    raise ValueError("p-group cap exceeded")
+                    raise ValueError("p-group: group order %d exceeds cap %d"
+                                     % (self.n, PGROUP_CAP))
                 p = pp[0]
                 seed = np.unique(np.concatenate([self.derived(),
                                                  self.power_map(p)]))
@@ -289,7 +290,7 @@ class FiniteGroup:
         of start and the members taken before them; stops once that
         closure has len(cand) elements, so cand should list a subgroup
         holding start."""
-        gens = []
+        gens, start = [], list(start)
         cur = self.closure(start)
         member = np.zeros(self.n, dtype=bool)
         member[cur] = True
@@ -298,7 +299,7 @@ class FiniteGroup:
             if member[c]:
                 continue
             gens.append(c)
-            cur = self.closure(list(cur) + [c])
+            cur = self.closure(start + gens)
             member[:] = False
             member[cur] = True
             if len(cur) == len(cand):
@@ -522,8 +523,10 @@ def find_isomorphism(G, H):
     """Element-index map G -> H, or None.  Exhaustive given the screens:
     if no generator-image assignment survives, the groups are not
     isomorphic."""
-    if G.n > ISO_CAP or H.n > ISO_CAP:
-        raise ValueError("isomorphism cap exceeded")
+    n = max(G.n, H.n)
+    if n > ISO_CAP:
+        raise ValueError("isomorphism: group order %d exceeds cap %d"
+                         % (n, ISO_CAP))
     if not _invariant_screen(G, H):
         return None
     found = _HomSearch(G, H, find_all=False).run()
@@ -538,7 +541,8 @@ def find_isomorphism(G, H):
 def all_automorphisms(G, cap=1 << 9):
     """Every automorphism of G as an (m, n) permutation array."""
     if G.n > cap:
-        raise ValueError("automorphism enumeration cap exceeded")
+        raise ValueError("automorphism enumeration: group order %d exceeds "
+                         "cap %d" % (G.n, cap))
     phis = _HomSearch(G, G, find_all=True).run()
     phis = phis[hom_on_generators(G, G, phis)]
     ar = np.arange(G.n)

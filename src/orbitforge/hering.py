@@ -179,6 +179,21 @@ def solvable_residual(gens, cap=CLOSURE_CAP):
         cur, order = der, chain.order()
 
 
+def _sl2_elements(p):
+    """SL_2(p) as a (p^3 - p, 2, 2) array, in lexicographic (a, b, c, d)
+    order of [[a, b], [c, d]]: for a = 0, ad - bc = 1 fixes c = -1/b and
+    leaves d free; for a != 0 it fixes d = (1 + bc)/a."""
+    r = np.arange(p, dtype=np.int64)
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)],
+                   dtype=np.int64)
+    b0 = np.repeat(r[1:], p)
+    zero = np.stack([np.zeros_like(b0), b0, -inv[b0] % p,
+                     np.tile(r, p - 1)], axis=1)
+    a, b, c = (x.ravel() for x in np.meshgrid(r[1:], r, r, indexing="ij"))
+    rest = np.stack([a, b, c, (1 + b * c) * inv[a] % p], axis=1)
+    return np.concatenate([zero, rest]).reshape(-1, 2, 2)
+
+
 def sl2_5_search(p, max_candidates=None):
     """Search GL_2(p) for a copy of the order-120 perfect group with a
     unique involution, seeded by (order 4, order 10) generator pairs.
@@ -189,10 +204,7 @@ def sl2_5_search(p, max_candidates=None):
     F = field_create(p, 1)
     A = np.array([[0, p - 1], [1, 0]], dtype=np.int64)
     # enumerate SL_2(p) and keep the order-10 elements as candidates
-    idx = np.arange(p ** 4, dtype=np.int64)
-    quads = np.stack([(idx // p ** t) % p for t in (3, 2, 1, 0)], axis=1)
-    det = (quads[:, 0] * quads[:, 3] - quads[:, 1] * quads[:, 2]) % p
-    sl2 = quads[det == 1].reshape(-1, 2, 2)
+    sl2 = _sl2_elements(p)
     # order exactly 10: M^10 = I, M^5 != I and M^2 != I (entries are the
     # residues mod p, so plain integer matrix products serve)
     M2 = sl2 @ sl2 % p

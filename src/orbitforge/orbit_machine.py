@@ -366,7 +366,8 @@ def holomorph_rank(G, aut_set=None):
     permutations (x, y) -> (xg, yg) and (x, y) -> (a(x), a(y)) are built
     and labelled one kernel block at a time."""
     if G.n > HOLOMORPH_CAP:
-        raise ValueError("holomorph cap exceeded")
+        raise ValueError("holomorph: group order %d exceeds cap %d"
+                         % (G.n, HOLOMORPH_CAP))
     n = G.n
     if aut_set is None:
         aut_set = brute_force_aut(G, cap=HOLOMORPH_CAP)

@@ -4,7 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from orbitforge import constructions as cons
 from orbitforge import group_engine as ge
+from orbitforge import orbit_machine as om
+from orbitforge import verify_suite as vs
 
 
 def cyclic(n):
@@ -235,7 +238,6 @@ def test_find_isomorphism_random_relabel():
 
 
 def test_class_labels_in_blocks(monkeypatch):
-    from orbitforge import constructions as cons
     G = cons.dornhoff_P().group
     assert G.n >= 512
     perms = np.array([G.conjugation_perm(g) for g in range(G.n)])
@@ -251,3 +253,66 @@ def test_class_labels_in_blocks(monkeypatch):
     G._cache.pop("class_labels", None)    # the constructor may have filled it
     assert np.array_equal(G.class_labels(), ref)
     assert len(sizes) > 1 and max(sizes) <= ge.BLOCK_CELLS
+
+
+def _table_cyclic(n):
+    """Z_n from a numpy table; cyclic() calls a Python oracle n^2 times."""
+    i = np.arange(n)
+    return ge.FiniteGroup(list(range(n)), (i[:, None] + i[None, :]) % n)
+
+
+def _reference_lattice(G):
+    """Every subgroup by cyclic extension with every element outside H,
+    closures by a Python BFS."""
+    def close(seed):
+        found, frontier = {G.e}, [G.e]
+        while frontier:
+            frontier = [int(G.mul[x, s]) for x in frontier for s in seed
+                        if int(G.mul[x, s]) not in found]
+            found.update(frontier)
+        return frozenset(found)
+
+    seen = {close([])}
+    todo = list(seen)
+    while todo:
+        H = todo.pop()
+        for g in set(range(G.n)) - H:
+            K = close(list(H) + [g])
+            if K not in seen:
+                seen.add(K)
+                todo.append(K)
+    return sorted((sorted(H) for H in seen), key=lambda h: (len(h), h))
+
+
+def test_lattice_matches_reference():
+    S4 = perm_group([(1, 2, 3, 0), (1, 0, 2, 3)])
+    assert S4.n == 24
+    for G, count in ((perm_group([(1, 2, 0), (1, 0, 2)]), 6), (quat(), 6),
+                     (S4, 30)):
+        got = [H.tolist() for H in G.all_subgroups()]
+        assert len(got) == count
+        assert got == _reference_lattice(G)
+
+
+def test_lattice_sizes():
+    assert len(cons.line2_frobenius(2, 5, 1, 1).group.all_subgroups()) == 84
+    assert len(vs.q8_on_c3c3().all_subgroups()) == 68
+
+
+def _set_pgroup_cap(monkeypatch):
+    monkeypatch.setattr(ge, "PGROUP_CAP", 16)
+    return _table_cyclic(32).frattini()
+
+
+@pytest.mark.parametrize("trip, order, cap", [
+    (lambda mp: _table_cyclic(576).all_subgroups(), 576, 512),
+    (_set_pgroup_cap, 32, 16),
+    (lambda mp: ge.find_isomorphism(_table_cyclic(4), _table_cyclic(1025)),
+     1025, 1024),
+    (lambda mp: ge.all_automorphisms(_table_cyclic(12), cap=10), 12, 10),
+    (lambda mp: om.holomorph_rank(_table_cyclic(65)), 65, 64),
+], ids=["lattice", "pgroup", "isomorphism", "automorphisms", "holomorph"])
+def test_cap_refusal_names_order_and_cap(trip, order, cap, monkeypatch):
+    with pytest.raises(ValueError) as err:
+        trip(monkeypatch)
+    assert "group order %d exceeds cap %d" % (order, cap) in str(err.value)

@@ -84,6 +84,15 @@ def test_sl2_5_search():
         hr.sl2_5_search(13)
 
 
+@pytest.mark.parametrize("p", [11, 19])
+def test_sl2_elements_match_determinant_filter(p):
+    idx = np.arange(p ** 4, dtype=np.int64)
+    quads = np.stack([(idx // p ** t) % p for t in (3, 2, 1, 0)], axis=1)
+    det = (quads[:, 0] * quads[:, 3] - quads[:, 1] * quads[:, 2]) % p
+    assert np.array_equal(hr._sl2_elements(p),
+                          quads[det == 1].reshape(-1, 2, 2))
+
+
 def test_closure_cap():
     with pytest.raises(ValueError, match=r"reached \d+, above the cap 5"):
         hr.group_order(hr.sl_gens(2, 3), cap=5)

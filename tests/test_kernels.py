@@ -1,18 +1,17 @@
-"""Kernel pair agreement: the numba path and the numpy path must give
-identical answers, the streamed orbit labels must equal one unblocked
-kernel run, the generator-row homomorphism proof must agree with the
-full table, and ORBITFORGE_PURE_NUMPY=1 must force the numpy path."""
+"""Kernels against references: the streamed orbit labels must equal one
+unblocked kernel run, the subgroup closure must equal a plain Python
+BFS, and the generator-row homomorphism proof must agree with the full
+table."""
 
 import itertools
-import os
-import subprocess
-import sys
+from collections import deque
 
 import numpy as np
 
 from orbitforge import _kernels as K
 from orbitforge import constructions as cons
 from orbitforge import group_engine as ge
+from orbitforge import verify_suite as vs
 
 
 def _random_perms(rng, k, n):
@@ -45,26 +44,59 @@ def test_orbit_labels_paths_agree():
         perms = _random_perms(rng, k, n)
         ref = K._orbit_labels_np(perms, n)
         assert np.array_equal(K.orbit_labels(perms, n), ref)
-        if K.HAS_NUMBA:
-            assert np.array_equal(K._orbit_labels_nb(perms, n), ref)
         # labels are the least member of each orbit
         for v in np.unique(ref):
             members = np.nonzero(ref == v)[0]
             assert members.min() == v
 
 
-def test_closure_paths_agree():
+def _bfs_closure(mul, seed):
+    """The subgroup generated by seed: close {e} under multiplication by
+    the seed elements, one element at a time."""
+    e = int(np.flatnonzero(np.all(mul == np.arange(len(mul)), axis=1))[0])
+    found, queue = {e}, deque([e])
+    while queue:
+        x = queue.popleft()
+        for s in seed:
+            y = int(mul[x, s])
+            if y not in found:
+                found.add(y)
+                queue.append(y)
+    return sorted(found)
+
+
+def _s3_mul():
+    elems = list(itertools.permutations(range(3)))
+    return np.array([[elems.index(tuple(a[i] for i in b)) for b in elems]
+                     for a in elems], dtype=np.int64)
+
+
+def test_closure_matches_bfs():
+    rng = np.random.default_rng(5)
+    tables = [_cyclic_mul(24), _s3_mul(), cons.extraspecial2(1, "-").group.mul,
+              vs.q8_on_c3c3().mul]
+    for mul in tables:
+        n = len(mul)
+        e = _bfs_closure(mul, [])[0]
+        seeds = [[int(g)] for g in range(n) if g != e]
+        seeds += [sorted(rng.choice(n, size=k, replace=False).tolist())
+                  for k in (2, 3) for _ in range(10)]
+        seeds = [s for s in seeds if e not in s]
+        for seed in seeds:
+            got = K.closure_subgroup(mul, np.array(seed))
+            ref = _bfs_closure(mul, seed)
+            assert got.tolist() == ref
+            # a whole member list closes to itself
+            assert np.array_equal(K.closure_subgroup(mul, got), got)
     mul = _cyclic_mul(24)
-    for seed in ([0], [1], [8], [6, 8], [18]):
-        got = K.closure_subgroup(mul, np.array(seed))
-        ref = K._closure_np(np.asarray(mul, dtype=np.int64),
-                            np.asarray(seed, dtype=np.int64))
-        assert np.array_equal(got, np.sort(ref))
-        # closed under the table
-        sub = set(got.tolist())
-        assert all(mul[a, b] in sub for a in sub for b in sub)
+    assert K.closure_subgroup(mul, np.array([0])).tolist() == [0]
     assert len(K.closure_subgroup(mul, np.array([1]))) == 24
-    assert len(K.closure_subgroup(mul, np.array([8]))) == 3
+    assert K.closure_subgroup(mul, np.array([8])).tolist() == [0, 8, 16]
+    assert K.closure_subgroup(mul, np.array([6, 8])).tolist() == \
+        list(range(0, 24, 2))
+    # one generator of Z_512: a 512-step walk
+    assert np.array_equal(K.closure_subgroup(_cyclic_mul(512), [1]),
+                          np.arange(512))
 
 
 def _transposition_perms(rng, k, n):
@@ -103,15 +135,14 @@ def test_orbit_labels_streamed_blocks():
 
 
 def test_orbit_labels_block_bound(monkeypatch):
-    name = "_orbit_labels_nb" if K.HAS_NUMBA else "_orbit_labels_np"
-    inner = getattr(K, name)
+    inner = K._orbit_labels_np
     rows = []
 
     def spy(perms, n):
         rows.append(perms.shape[0])
         return inner(perms, n)
 
-    monkeypatch.setattr(K, name, spy)
+    monkeypatch.setattr(K, "_orbit_labels_np", spy)
     rng = np.random.default_rng(3)
     n = 300
     perms = _transposition_perms(rng, 900, n)
@@ -143,9 +174,7 @@ def test_hom_on_generators_matches_full_table():
     # every bijection of S3 and of Q8 fixing the identity: the generator
     # proof agrees with the full n^2 table check, between distinct groups
     # too (H is G relabelled)
-    elems = list(itertools.permutations(range(3)))
-    s3 = ge.FiniteGroup(elems, [[elems.index(tuple(a[i] for i in b))
-                                 for b in elems] for a in elems])
+    s3 = ge.FiniteGroup(list(range(6)), _s3_mul())
     q8 = cons.extraspecial2(1, "-").group
     for G in (s3, q8):
         rest = [i for i in range(G.n) if i != G.e]
@@ -162,14 +191,3 @@ def test_hom_on_generators_matches_full_table():
             assert full.any() and not full.all()
             assert np.array_equal(ge.hom_on_generators(G, K2, maps), full)
 
-
-def test_env_flag_forces_numpy():
-    code = ("import orbitforge._kernels as K; import numpy as np;"
-            "print(K.HAS_NUMBA, K.orbit_labels("
-            "np.roll(np.arange(6),1)[None,:], 6).tolist())")
-    env = dict(os.environ, ORBITFORGE_PURE_NUMPY="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    flag, rest = out.stdout.split(None, 1)
-    assert flag == "False"
-    assert rest.strip() == "[0, 0, 0, 0, 0, 0]"
