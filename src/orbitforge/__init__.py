@@ -18,7 +18,7 @@ from .orbit_machine import (AutomorphismSet, brute_force_aut,
                             central_automorphisms, holomorph_rank,
                             induced_pair, inner_automorphisms,
                             invariant_features, linear_split, omega_exact,
-                            omega_lower_bound, orbits, verify_automorphism)
+                            orbits, verify_automorphism)
 from .constructions import (FamilyInstance, dornhoff_P, extraspecial2,
                             gl3_tower, heisenberg_trace, line1_abelian,
                             line2_frobenius, sl3_pair, suzuki_A, suzuki_B)
@@ -45,8 +45,8 @@ __all__ = [
     "group_from_oracle", "import_cayley",
     "AutomorphismSet", "brute_force_aut", "central_automorphisms",
     "holomorph_rank", "induced_pair", "inner_automorphisms",
-    "invariant_features", "linear_split", "omega_exact",
-    "omega_lower_bound", "orbits", "verify_automorphism",
+    "invariant_features", "linear_split", "omega_exact", "orbits",
+    "verify_automorphism",
     "FamilyInstance", "dornhoff_P", "extraspecial2", "gl3_tower", "heisenberg_trace", "line1_abelian", "line2_frobenius",
     "sl3_pair", "suzuki_A", "suzuki_B",
     "MatrixGroupGens", "gammaL1_gens", "group_order", "sl_gens",

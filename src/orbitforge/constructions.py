@@ -460,14 +460,11 @@ def gl3_tower(F, F0, *, cap=None):
             phi = table[phi, mpow[D[:, t]]]
         return phi
 
-    def comm(g, h):
-        return table[table[group.inv[g], group.inv[h]], table[g, h]]
-
     def derived_images(x_imgs):
-        y21i = comm(x_imgs[1], x_imgs[0])
-        y31i = comm(x_imgs[2], x_imgs[0])
-        y32i = comm(x_imgs[2], x_imgs[1])
-        zi = comm(y21i, x_imgs[2])
+        y21i = group.commutator(x_imgs[1], x_imgs[0])
+        y31i = group.commutator(x_imgs[2], x_imgs[0])
+        y32i = group.commutator(x_imgs[2], x_imgs[1])
+        zi = group.commutator(y21i, x_imgs[2])
         return list(x_imgs) + [y21i, y31i, y32i, zi]
 
     perms = []

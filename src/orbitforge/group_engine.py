@@ -7,9 +7,11 @@ and the isomorphism / automorphism search -- works on the table.
 
 Every table is proved a group on construction: Latin square, two-sided
 identity and inverses, and associativity by Light's test on a generating
-set, at n^2 * |gens| cost for every order.  Caps: Frattini via the
-subgroup lattice at |G| <= 512 for non-p-groups, isomorphism search at
-|G| <= 1024.
+set S, at n^2 * |S| cost for every order.  The center is the centralizer
+of S; G', the lower central terms and a p-group's Frattini subgroup are
+normal closures of commutators and p-th powers of generators.  Caps:
+Frattini via the subgroup lattice at |G| <= 512 for non-p-groups,
+isomorphism search at |G| <= 1024, Aut enumeration at |G| <= 512.
 """
 
 import math
@@ -23,7 +25,7 @@ from ._kernels import BLOCK_CELLS, closure_subgroup, orbit_labels
 
 LATTICE_CAP = 512
 ISO_CAP = 1 << 10
-PGROUP_CAP = 1 << 13
+AUT_ENUM_CAP = 1 << 9
 
 
 def _prime_power(n):
@@ -69,21 +71,23 @@ class FiniteGroup:
         ar = np.arange(n, dtype=np.int64)
         if mul.min() < 0 or mul.max() >= n:
             raise ValueError("table entries out of range")
-        if not (np.all(np.sort(mul, axis=1) == ar) and
-                np.all(np.sort(mul, axis=0) == ar[:, None])):
-            raise ValueError("table is not a Latin square")
-        ident = np.nonzero(np.all(mul == ar, axis=1))[0]
-        ident = [int(i) for i in ident if np.array_equal(mul[:, i], ar)]
-        if len(ident) != 1:
+        # every pass over the whole table reads slabs of BLOCK_CELLS cells
+        step = max(1, BLOCK_CELLS // n)
+        for lo in range(0, n, step):
+            if not (np.all(np.sort(mul[lo:lo + step], axis=1) == ar) and
+                    np.all(np.sort(mul[:, lo:lo + step], axis=0) ==
+                           ar[:, None])):
+                raise ValueError("table is not a Latin square")
+        # only the row with 0 in column 0 can be a left identity
+        e = int(np.flatnonzero(mul[:, 0] == 0)[0])
+        if not (np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)):
             raise ValueError("no two-sided identity")
-        self.e = ident[0]
+        self.e = e
         # each row of a Latin square holds e exactly once
-        inv = np.empty(n, dtype=np.int64)
-        rows, cols = np.nonzero(mul == self.e)
-        inv[rows] = cols
-        for i in range(n):
-            if mul[inv[i], i] != self.e:
-                raise ValueError("left/right inverse mismatch")
+        inv = np.concatenate([np.argmax(mul[lo:lo + step] == e, axis=1)
+                              for lo in range(0, n, step)])
+        if not np.all(mul[inv, ar] == e):
+            raise ValueError("left/right inverse mismatch")
         self.inv = inv
         # Light's associativity test: (xs)y = x(sy) for every x, y and
         # every s of the generating sequence, rows of x in blocks.  The s
@@ -93,7 +97,6 @@ class FiniteGroup:
         # associative.  The sequence is well defined on any Latin square
         # with an identity: right multiplication is a permutation, so
         # orders() ends, and classes and closures are sets of entries.
-        step = max(1, BLOCK_CELLS // n)
         for s in self.generating_sequence():
             sy = mul[s]
             for lo in range(0, n, step):
@@ -125,10 +128,17 @@ class FiniteGroup:
         return math.lcm(*{int(o) for o in self.orders()})
 
     def center(self):
+        """The elements that commute with every generator."""
         if "center" not in self._cache:
-            mask = np.all(self.mul == self.mul.T, axis=1)
+            S = self.generating_sequence()
+            mask = np.all(self.mul[:, S] == self.mul[S].T, axis=1)
             self._cache["center"] = np.nonzero(mask)[0].astype(np.int64)
         return self._cache["center"]
+
+    def commutator(self, a, b):
+        """a^-1 b^-1 a b, elementwise on indices or index arrays."""
+        mul, inv = self.mul, self.inv
+        return mul[mul[inv[a], inv[b]], mul[a, b]]
 
     def conjugation_perm(self, g):
         return self.mul[self.inv[g]][self.mul[:, g]]
@@ -157,13 +167,36 @@ class FiniteGroup:
         return closure_subgroup(self.mul, np.append(
             np.asarray(seed, dtype=np.int64), self.e))
 
-    def derived(self):
+    def normal_closure(self, seed):
+        """(sorted members, generators) of the smallest normal subgroup K
+        holding seed, at |K| * |generators| cells per closure.  An element
+        the closure lacks becomes a generator and queues its conjugates by
+        the generating sequence S; an empty queue means K^s <= K for
+        every s in S, so K is normal."""
+        S = self.generating_sequence()
+        members, gens = self.closure([]), []
+        inK = np.arange(self.n) == self.e
+        queue = deque(np.ravel(seed).tolist())
+        while queue:
+            x = queue.popleft()
+            if inK[x]:
+                continue
+            gens.append(x)
+            members = self.closure(gens)
+            inK[members] = True
+            queue.extend(self.mul[self.mul[self.inv[S], x], S].tolist())
+        return members, gens
+
+    def _derived_pair(self):
+        """G' as the normal closure of [s, t] for s, t in S."""
         if "derived" not in self._cache:
-            mul, inv = self.mul, self.inv
-            m2 = mul[inv[None, :], mul]
-            comm = mul[inv[:, None], m2]
-            self._cache["derived"] = self.closure(np.unique(comm))
+            S = np.asarray(self.generating_sequence(), dtype=np.int64)
+            self._cache["derived"] = self.normal_closure(
+                self.commutator(S[:, None], S))
         return self._cache["derived"]
+
+    def derived(self):
+        return self._derived_pair()[0]
 
     def power_map(self, k):
         ar = np.arange(self.n, dtype=np.int64)
@@ -230,13 +263,11 @@ class FiniteGroup:
             if self.n == 1:
                 phi = np.array([self.e], dtype=np.int64)
             elif pp is not None:
-                if self.n > PGROUP_CAP:
-                    raise ValueError("p-group: group order %d exceeds cap %d"
-                                     % (self.n, PGROUP_CAP))
-                p = pp[0]
-                seed = np.unique(np.concatenate([self.derived(),
-                                                 self.power_map(p)]))
-                phi = self.closure(seed)
+                # Phi = G'G^p (Burnside's basis theorem): the normal
+                # closure of the generators of G' and the p-th powers of S
+                S = self.generating_sequence()
+                phi = self.normal_closure(self._derived_pair()[1] +
+                                          self.power_map(pp[0])[S].tolist())[0]
             elif self.n <= LATTICE_CAP:
                 maxes = self.maximal_subgroups()
                 mask = np.ones(self.n, dtype=bool)
@@ -252,28 +283,22 @@ class FiniteGroup:
 
     def gamma_series(self):
         """Lower central series gamma_1 = G, gamma_{k+1} = [G, gamma_k],
-        computed until stable."""
+        until trivial or stable: the normal closure of [s, h] for s in S
+        and h among the generators of gamma_k."""
         if "gamma" not in self._cache:
-            mul, inv = self.mul, self.inv
+            S = np.asarray(self.generating_sequence(), dtype=np.int64)
             series = [np.arange(self.n, dtype=np.int64)]
-            cur = self.derived()
+            cur, hgens = self._derived_pair()
             series.append(cur)
             while len(cur) > 1:
-                x = mul[:, cur]
-                y = mul[inv[cur][None, :], x]
-                c = mul[inv[:, None], y]
-                nxt = self.closure(np.unique(c))
+                nxt, hgens = self.normal_closure(self.commutator(
+                    S[:, None], np.asarray(hgens, dtype=np.int64)))
                 if np.array_equal(nxt, cur):
                     break
                 series.append(nxt)
                 cur = nxt
             self._cache["gamma"] = series
         return self._cache["gamma"]
-
-    def centralizer(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        mask = np.all(self.mul[:, idx] == self.mul[idx, :].T, axis=1)
-        return np.nonzero(mask)[0].astype(np.int64)
 
     def generating_sequence(self):
         """Greedy: highest element order first, then smallest class."""
@@ -538,7 +563,7 @@ def find_isomorphism(G, H):
     return phi
 
 
-def all_automorphisms(G, cap=1 << 9):
+def all_automorphisms(G, cap=AUT_ENUM_CAP):
     """Every automorphism of G as an (m, n) permutation array."""
     if G.n > cap:
         raise ValueError("automorphism enumeration: group order %d exceeds "

@@ -14,11 +14,10 @@ from collections import deque
 import numpy as np
 
 from ._kernels import BLOCK_CELLS, orbit_labels
-from .group_engine import (_prime_power, all_automorphisms,
+from .group_engine import (AUT_ENUM_CAP, _prime_power, all_automorphisms,
                            characteristic_core, hom_on_generators)
 from .permgroup import PermGroup
 
-AUT_ENUM_CAP = 1 << 9
 HOLOMORPH_CAP = 64
 
 
@@ -123,11 +122,6 @@ def invariant_features(G):
     return np.stack([f.astype(np.int64) for f in feats], axis=1)
 
 
-def omega_lower_bound(G):
-    feats = invariant_features(G)
-    return len(np.unique(feats, axis=0))
-
-
 def omega_exact(G, acts, *, caut=None, inner=True):
     """Two-sided orbit count.  Returns a report with lower and upper
     bounds and, when they meet, the exact value."""
@@ -137,11 +131,11 @@ def omega_exact(G, acts, *, caut=None, inner=True):
     if inner:
         combined = combined.extended(inner_automorphisms(G))
     rep = orbits(G, combined)
-    lower = omega_lower_bound(G)
+    feats = invariant_features(G)
+    lower = len(np.unique(feats, axis=0))
     upper = rep["count"]
     if lower > upper:
         raise AssertionError("invariant partition coarser than orbits")
-    feats = invariant_features(G)
     for r in rep["orbits"]:
         members = np.nonzero(rep["labels"] == r["rep"])[0]
         if len(np.unique(feats[members], axis=0)) != 1:
@@ -155,6 +149,35 @@ def omega_exact(G, acts, *, caut=None, inner=True):
 
 
 # ------------------------------------------------- central automorphisms
+
+def _layer_coords(G, key, reps, basis, p):
+    """(relabel, coords): additive coordinates coords[relabel[r]] for the
+    sorted layer members reps, where key[g] is the member standing for g
+    (the least element of its coset of N, or g itself in N).  A walk
+    from key[e] gives key[r * basis[i]] the coordinates of r plus the
+    i-th unit vector; they are checked additive on every pair of reps."""
+    relabel = np.full(G.n, -1, dtype=np.int64)
+    relabel[reps] = np.arange(len(reps))
+    coords = np.full((len(reps), len(basis)), -1, dtype=np.int64)
+    start = int(key[G.e])
+    coords[relabel[start]] = 0
+    frontier = deque([start])
+    while frontier:
+        r = frontier.popleft()
+        for i, b in enumerate(basis):
+            t = relabel[key[G.mul[r, b]]]
+            if coords[t, 0] < 0:  # first visit
+                coords[t] = coords[relabel[r]]
+                coords[t, i] = (coords[t, i] + 1) % p
+                frontier.append(reps[t])
+    if (coords < 0).any():
+        raise ValueError("layer coordinate walk incomplete")
+    prod = relabel[key[G.mul[np.ix_(reps, reps)]]]
+    if not np.array_equal(coords[prod],
+                          (coords[:, None, :] + coords[None, :, :]) % p):
+        raise AssertionError("layer coordinates are not additive")
+    return relabel, coords
+
 
 def linear_split(G):
     """Layer coordinates for a p-group with 1 < N <= Z(G) and both N and
@@ -181,60 +204,13 @@ def linear_split(G):
     v_basis = G.greedy_generators(np.arange(G.n), N)
     if len(w_basis) != n_dim or len(v_basis) != m_dim:
         raise ValueError("basis extraction failed")
-    # coset coordinates: BFS over the quotient by N
-    L = G.mul[:, N].min(axis=1)
-    reps = np.unique(L)
-    relabel = np.full(G.n, -1, dtype=np.int64)
-    relabel[reps] = np.arange(len(reps))
-    coords = np.full((len(reps), m_dim), -1, dtype=np.int64)
-    coords[relabel[L[G.e]]] = 0
-    frontier = deque([int(L[G.e])])
-    seen = {int(L[G.e])}
-    while frontier:
-        r = frontier.popleft()
-        c = coords[relabel[r]]
-        for i, b in enumerate(v_basis):
-            t = int(L[G.mul[r, b]])
-            if t not in seen:
-                seen.add(t)
-                nc = c.copy()
-                nc[i] = (nc[i] + 1) % p
-                coords[relabel[t]] = nc
-                frontier.append(t)
-    if (coords < 0).any():
-        raise ValueError("coset coordinate BFS incomplete")
+    L = G.mul[:, N].min(axis=1)  # least element of each coset of N
     if not np.all(L[G.power_map(p)] == L[G.e]):
         raise ValueError("G/N is not elementary abelian")
-    # coordinates must be additive across the whole quotient table
-    prod = relabel[L[G.mul[np.ix_(reps, reps)]]]
-    lhs = coords[prod]
-    rhs = (coords[:, None, :] + coords[None, :, :]) % p
-    if not np.array_equal(lhs, rhs):
-        raise AssertionError("coset coordinates are not additive")
+    reps = np.unique(L)
+    relabel, coords = _layer_coords(G, L, reps, v_basis, p)
     cc = coords[relabel[L]]
-    # the same walk inside N over the w-basis
-    pos_in_N = np.full(G.n, -1, dtype=np.int64)
-    pos_in_N[N] = np.arange(len(N))
-    wc = np.full((len(N), n_dim), -1, dtype=np.int64)
-    wc[pos_in_N[G.e]] = 0
-    frontier = deque([int(G.e)])
-    seen = {int(G.e)}
-    while frontier:
-        g = frontier.popleft()
-        c = wc[pos_in_N[g]]
-        for i, b in enumerate(w_basis):
-            t = int(G.mul[g, b])
-            if t not in seen:
-                seen.add(t)
-                nc = c.copy()
-                nc[i] = (nc[i] + 1) % p
-                wc[pos_in_N[t]] = nc
-                frontier.append(t)
-    if (wc < 0).any():
-        raise ValueError("N coordinate BFS incomplete")
-    prod_n = pos_in_N[G.mul[np.ix_(N, N)]]
-    if not np.array_equal(wc[prod_n], (wc[:, None, :] + wc[None, :, :]) % p):
-        raise AssertionError("N coordinates are not additive")
+    pos_in_N, wc = _layer_coords(G, np.arange(G.n), N, w_basis, p)
     # least coset representative per coordinate vector, little-endian
     weights = p ** np.arange(m_dim, dtype=np.int64)
     rep_by_coords = np.full(p ** m_dim, -1, dtype=np.int64)

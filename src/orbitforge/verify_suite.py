@@ -10,6 +10,7 @@ import numpy as np
 from . import constructions as cons
 from . import hering
 from . import linalg_mod as lm
+from ._kernels import BLOCK_CELLS
 from .gf_arith import element_of_order, field_create, subfield_embed, \
     trace_table
 from .group_engine import FiniteGroup, ISO_CAP, _invariant_screen, \
@@ -350,7 +351,7 @@ def verify_gfgf_iso(q, d, e, *, cap=None):
 
     bijective = np.array_equal(np.sort(psi), np.arange(G1.group.n))
     hom = True
-    step = max(1, (1 << 22) // G1.group.n)
+    step = max(1, BLOCK_CELLS // G1.group.n)
     for lo in range(0, G1.group.n, step):
         blk = slice(lo, min(lo + step, G1.group.n))
         if not np.array_equal(psi[G1.group.mul[blk]],

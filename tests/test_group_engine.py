@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -88,8 +89,6 @@ def test_s3():
     assert len(S3.derived()) == 3
     assert sorted(np.unique(S3.class_sizes()).tolist()) == [1, 2, 3]
     assert len(ge.all_automorphisms(S3)) == 6
-    t = S3.index[(1, 0, 2)]
-    assert len(S3.centralizer([t])) == 2
 
 
 def test_a4_core():
@@ -287,6 +286,7 @@ def _reference_lattice(G):
 def test_lattice_matches_reference():
     S4 = perm_group([(1, 2, 3, 0), (1, 0, 2, 3)])
     assert S4.n == 24
+    assert len(S4.derived()) == 12
     for G, count in ((perm_group([(1, 2, 0), (1, 0, 2)]), 6), (quat(), 6),
                      (S4, 30)):
         got = [H.tolist() for H in G.all_subgroups()]
@@ -299,20 +299,84 @@ def test_lattice_sizes():
     assert len(vs.q8_on_c3c3().all_subgroups()) == 68
 
 
-def _set_pgroup_cap(monkeypatch):
-    monkeypatch.setattr(ge, "PGROUP_CAP", 16)
-    return _table_cyclic(32).frattini()
-
-
 @pytest.mark.parametrize("trip, order, cap", [
-    (lambda mp: _table_cyclic(576).all_subgroups(), 576, 512),
-    (_set_pgroup_cap, 32, 16),
-    (lambda mp: ge.find_isomorphism(_table_cyclic(4), _table_cyclic(1025)),
+    (lambda: _table_cyclic(576).all_subgroups(), 576, 512),
+    (lambda: ge.find_isomorphism(_table_cyclic(4), _table_cyclic(1025)),
      1025, 1024),
-    (lambda mp: ge.all_automorphisms(_table_cyclic(12), cap=10), 12, 10),
-    (lambda mp: om.holomorph_rank(_table_cyclic(65)), 65, 64),
-], ids=["lattice", "pgroup", "isomorphism", "automorphisms", "holomorph"])
-def test_cap_refusal_names_order_and_cap(trip, order, cap, monkeypatch):
+    (lambda: ge.all_automorphisms(_table_cyclic(12), cap=10), 12, 10),
+    (lambda: om.holomorph_rank(_table_cyclic(65)), 65, 64),
+], ids=["lattice", "isomorphism", "automorphisms", "holomorph"])
+def test_cap_refusal_names_order_and_cap(trip, order, cap):
     with pytest.raises(ValueError) as err:
-        trip(monkeypatch)
+        trip()
     assert "group order %d exceeds cap %d" % (order, cap) in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def gl3():
+    return cons.gl3_tower((3, 1), (3, 1)).group
+
+
+def _table_derived(G):
+    """G' from the full n^2 commutator table."""
+    m2 = G.mul[G.inv[None, :], G.mul]
+    return G.closure(np.unique(G.mul[G.inv[:, None], m2]))
+
+
+def _table_gamma(G):
+    """Lower central series from n * |gamma_k| commutator slabs."""
+    mul, inv = G.mul, G.inv
+    series = [np.arange(G.n), _table_derived(G)]
+    while len(series[-1]) > 1:
+        cur = series[-1]
+        c = mul[inv[:, None], mul[inv[cur][None, :], mul[:, cur]]]
+        nxt = G.closure(np.unique(c))
+        if np.array_equal(nxt, cur):
+            break
+        series.append(nxt)
+    return series
+
+
+@pytest.mark.parametrize("build", [
+    lambda: perm_group([(1, 2, 0), (1, 0, 2)]),
+    lambda: perm_group([(1, 2, 3, 0), (1, 0, 2, 3)]),
+    lambda: perm_group([(1, 2, 0, 3), (0, 2, 3, 1)]),
+    quat,
+    lambda: perm_group([(1, 2, 3, 0), (1, 0, 3, 2)]),
+    vs.q8_on_c3c3,
+    lambda: cons.line2_frobenius(2, 5, 1, 1).group,
+    lambda: cons.suzuki_A(3, 1).group,
+    lambda: cons.extraspecial2(2, "-").group,
+    lambda: cons.heisenberg_trace((3, 1), (3, 1), 2).group,
+    None,
+], ids=["S3", "S4", "A4", "Q8", "D4", "q8_on_c3c3", "line2_frobenius",
+        "suzuki_A", "extraspecial2", "heisenberg_trace", "gl3_tower"])
+def test_characteristic_series_match_table_reference(build, gl3):
+    G = gl3 if build is None else build()
+    D = _table_derived(G)
+    assert np.array_equal(G.derived(), D)
+    assert ([g.tolist() for g in G.gamma_series()] ==
+            [g.tolist() for g in _table_gamma(G)])
+    pp = ge._prime_power(G.n)
+    if pp is not None:
+        phi = G.closure(np.unique(np.concatenate([D, G.power_map(pp[0])])))
+        assert np.array_equal(G.frattini(), phi)
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_gl3_tower_core_in_bounded_memory(gl3):
+    """Validation and the characteristic core read the 38 MB table of
+    order 2187 in slabs and from generators: no n^2 temporary."""
+    H, built_mb = _traced_peak_mb(lambda: ge.FiniteGroup(gl3.elems,
+                                                         gl3.mul))
+    core, core_mb = _traced_peak_mb(lambda: ge.characteristic_core(H))
+    assert [len(g) for g in core["gamma"]] == [2187, 81, 3, 1]
+    assert built_mb < 8 and core_mb < 8

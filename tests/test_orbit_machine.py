@@ -52,15 +52,17 @@ def test_cyclic_omega():
     aut = om.brute_force_aut(C4)
     assert len(aut) == 2
     assert om.orbits(C4, aut)["lengths"] == [1, 1, 2]
-    assert om.omega_lower_bound(C4) == 3
-    assert om.omega_exact(C4, aut)["exact"] == 3
+    om_c4 = om.omega_exact(C4, aut)
+    assert om_c4["lower"] == 3
+    assert om_c4["exact"] == 3
     assert om.holomorph_rank(C4) == 3
 
 
 def test_abelian_omega_values():
     C4C2 = direct([4, 2])
-    assert om.omega_lower_bound(C4C2) == 4
-    assert om.omega_exact(C4C2, om.brute_force_aut(C4C2))["exact"] == 4
+    om_c4c2 = om.omega_exact(C4C2, om.brute_force_aut(C4C2))
+    assert om_c4c2["lower"] == 4
+    assert om_c4c2["exact"] == 4
     C23 = direct([2, 2, 2])
     assert om.omega_exact(C23, om.brute_force_aut(C23))["exact"] == 2
     assert om.holomorph_rank(C23) == 2
