@@ -10,7 +10,7 @@ from .linalg_mod import (identity_mat, mat_det, mat_inv, mat_mul, mat_vec,
                          sp_multiplier, standard_symplectic,
                          symplectic_transvection_gens, vec_batch_apply,
                          wedge_power_matrix)
-from .group_engine import (CAYLEY_MAGIC, FiniteGroup, all_automorphisms,
+from .group_engine import (CAYLEY_MAGIC, FiniteGroup, automorphism_group,
                            characteristic_core, export_cayley,
                            find_isomorphism, group_from_oracle,
                            import_cayley)
@@ -40,7 +40,7 @@ __all__ = [
     "nullspace_basis", "sp_lambda2_submodules", "sp_multiplier",
     "standard_symplectic", "symplectic_transvection_gens", "vec_batch_apply",
     "wedge_power_matrix",
-    "CAYLEY_MAGIC", "FiniteGroup", "all_automorphisms",
+    "CAYLEY_MAGIC", "FiniteGroup", "automorphism_group",
     "characteristic_core", "export_cayley", "find_isomorphism",
     "group_from_oracle", "import_cayley",
     "AutomorphismSet", "brute_force_aut", "central_automorphisms",

@@ -11,7 +11,8 @@ set S, at n^2 * |S| cost for every order.  The center is the centralizer
 of S; G', the lower central terms and a p-group's Frattini subgroup are
 normal closures of commutators and p-th powers of generators.  Caps:
 Frattini via the subgroup lattice at |G| <= 512 for non-p-groups,
-isomorphism search at |G| <= 1024, Aut enumeration at |G| <= 512.
+isomorphism search at |G| <= 1024, and Aut(G) at |G| <= 512, found as
+strong generators plus its order by an exhaustive base-image backtrack.
 """
 
 import math
@@ -22,6 +23,7 @@ from collections import Counter, deque
 import numpy as np
 
 from ._kernels import BLOCK_CELLS, closure_subgroup, orbit_labels
+from .permgroup import PermGroup
 
 LATTICE_CAP = 512
 ISO_CAP = 1 << 10
@@ -416,7 +418,6 @@ class _HomSearch:
             sel = (h_ord == g_ord[g]) & (h_csz == g_csz[g])
             self.buckets.append(np.nonzero(sel)[0].astype(np.int64))
         self.levels = [self._level(k) for k in range(1, self.k_total + 1)]
-        self.found = []
 
     def _level(self, k):
         G = self.G
@@ -497,11 +498,20 @@ class _HomSearch:
                     return True
         return False
 
-    def run(self):
-        """The maps found, as an (m, |G|) array."""
+    def run(self, prefix=()):
+        """The maps found, as an (m, |G|) array; with a prefix, only the
+        maps sending gens[:len(prefix)] to it."""
+        self.found = []
         if self.k_total == 0:
             return np.array([[self.H.e]], dtype=np.int64)
-        self._descend(np.empty((1, 0), dtype=np.int64), 0)
+        rows = np.asarray(prefix, dtype=np.int64).reshape(1, -1)
+        k = rows.shape[1]
+        if k == 0:
+            self._descend(rows, 0)
+        elif k == self.k_total:
+            self._collect(*self._evaluate(rows, k))
+        elif self._evaluate(rows, k)[0][0]:
+            self._descend(rows, k)
         if not self.found:
             return np.empty((0, self.G.n), dtype=np.int64)
         return np.concatenate(self.found)
@@ -564,7 +574,9 @@ def find_isomorphism(G, H):
 
 
 def all_automorphisms(G, cap=AUT_ENUM_CAP):
-    """Every automorphism of G as an (m, n) permutation array."""
+    """Every automorphism of G as an (m, n) permutation array, listed by
+    the find-all search; the reference the tests hold
+    automorphism_group to."""
     if G.n > cap:
         raise ValueError("automorphism enumeration: group order %d exceeds "
                          "cap %d" % (G.n, cap))
@@ -575,3 +587,49 @@ def all_automorphisms(G, cap=AUT_ENUM_CAP):
     phis = phis[bij]
     order = np.lexsort(phis.T[::-1])
     return phis[order]
+
+
+def automorphism_group(G, cap=AUT_ENUM_CAP):
+    """(gens, order): strong generators of Aut(G) as an (m, n)
+    permutation array, and |Aut(G)|, by a base-image backtrack with the
+    generating sequence g_0..g_{k-1} as base (Butler, Fundamental
+    Algorithms for Permutation Groups, LNCS 559, 1991, ch. 10; Leon, J.
+    Symb. Comput. 12, 1991).
+
+    A_j, the automorphisms fixing g_0..g_{j-1}, is built from the deepest
+    level up.  At level j every automorphism found so far lies in A_j.
+    Each candidate image c of g_j outside the orbit of g_j under them,
+    and outside every orbit already ruled out, gets one find-first
+    search below the images g_0..g_{j-1}, c.  A hit becomes a generator.
+    A miss rules out c's whole orbit: a known automorphism carrying c to
+    c' would carry a hit for c' back to one for c.  Once every candidate
+    is settled, the generators contain A_{j+1} and are transitive on the
+    A_j-orbit of g_j, so they generate A_j and |A_j| is that orbit's
+    length times |A_{j+1}|.  Exhaustive, like all_automorphisms."""
+    if G.n > cap:
+        raise ValueError("automorphism group: group order %d exceeds cap %d"
+                         % (G.n, cap))
+    search = _HomSearch(G, G, find_all=False)
+    base = search.gens
+    gens = np.empty((0, G.n), dtype=np.int64)
+    ar = np.arange(G.n)
+    order = 1
+    for j in reversed(range(search.k_total)):
+        lab = orbit_labels(gens, G.n)
+        ruled_out = []
+        for c in search.buckets[j].tolist():
+            if lab[c] == lab[base[j]] or lab[c] in lab[ruled_out]:
+                continue
+            hit = search.run(base[:j] + [c])   # one row or none
+            if not len(hit):
+                ruled_out.append(c)
+                continue
+            if not (hom_on_generators(G, G, hit)[0] and
+                    np.array_equal(np.sort(hit[0]), ar)):
+                raise AssertionError("search hit is not an automorphism")
+            gens = np.concatenate([gens, hit])
+            lab = orbit_labels(hit, G.n, start=lab)
+        order *= int(np.count_nonzero(lab == lab[base[j]]))
+    if PermGroup(gens, G.n).order() != order:
+        raise AssertionError("strong generators do not give |Aut|")
+    return gens, order

@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from ._kernels import BLOCK_CELLS, orbit_labels
-from .group_engine import (AUT_ENUM_CAP, _prime_power, all_automorphisms,
+from .group_engine import (AUT_ENUM_CAP, _prime_power, automorphism_group,
                            characteristic_core, hom_on_generators)
 from .permgroup import PermGroup
 
@@ -22,10 +22,11 @@ HOLOMORPH_CAP = 64
 
 
 class AutomorphismSet:
-    """A list of verified automorphism permutations of a group."""
+    """A list of verified automorphism permutations of a group.  With
+    `order`, the rows generate a group of that order, and len() is it."""
 
-    def __init__(self, G, perms, *, verify=True):
-        self.group = G
+    def __init__(self, G, perms, *, verify=True, order=None):
+        self.group, self.order = G, order
         perms = np.ascontiguousarray(np.asarray(perms, dtype=np.int64))
         self.perms = perms.reshape(len(perms), G.n) if len(perms) else \
             np.empty((0, G.n), dtype=np.int64)
@@ -35,10 +36,11 @@ class AutomorphismSet:
                     raise ValueError(f"perm {i} is not an automorphism")
 
     def __len__(self):
-        return len(self.perms)
+        return len(self.perms) if self.order is None else self.order
 
     def extended(self, other):
-        """New set combining these perms with another verified set's."""
+        """New set combining these perms with another verified set's;
+        the rows are a list again, with no order."""
         if other.group is not self.group:
             raise ValueError("automorphism sets belong to different groups")
         combined = np.concatenate([self.perms, other.perms])
@@ -299,8 +301,9 @@ def induced_pair(G, N, acts):
             raise AssertionError("quotient action ill-defined")
         a_perms.append(ahat)
         b_perms.append(pos_in_N[p[N]])
-    a_perms = np.array(a_perms, dtype=np.int64).reshape(len(acts), qn)
-    b_perms = np.array(b_perms, dtype=np.int64).reshape(len(acts), len(N))
+    a_perms = np.array(a_perms, dtype=np.int64).reshape(len(acts.perms), qn)
+    b_perms = np.array(b_perms, dtype=np.int64).reshape(len(acts.perms),
+                                                        len(N))
     e_q = relabel[L[G.e]]
     e_n = pos_in_N[G.e]
 
@@ -330,17 +333,21 @@ def induced_pair(G, N, acts):
 # --------------------------------------------------------------- oracles
 
 def brute_force_aut(G, cap=AUT_ENUM_CAP):
-    """Every automorphism, as an AutomorphismSet (already verified by the
-    search itself; re-verification skipped)."""
-    perms = all_automorphisms(G, cap=cap)
-    return AutomorphismSet(G, perms, verify=False)
+    """Aut(G) as strong generators plus its order, found by the
+    exhaustive base-image backtrack of automorphism_group, as an
+    AutomorphismSet whose len() is |Aut(G)| (each generator is proved an
+    automorphism by the search; re-verification skipped)."""
+    gens, order = automorphism_group(G, cap=cap)
+    return AutomorphismSet(G, gens, verify=False, order=order)
 
 
 def holomorph_rank(G, aut_set=None):
     """Rank of the holomorph acting on G: the number of orbits of
-    <right translations, Aut(G)> on ordered pairs.  The pair
-    permutations (x, y) -> (xg, yg) and (x, y) -> (a(x), a(y)) are built
-    and labelled one kernel block at a time."""
+    <right translations, Aut(G)> on ordered pairs.  Aut(G) comes as
+    generators, by default the strong generators of brute_force_aut; the
+    group they generate with the translations has the same pair orbits.
+    The pair permutations (x, y) -> (xg, yg) and (x, y) -> (a(x), a(y))
+    are built and labelled one kernel block at a time."""
     if G.n > HOLOMORPH_CAP:
         raise ValueError("holomorph: group order %d exceeds cap %d"
                          % (G.n, HOLOMORPH_CAP))

@@ -305,7 +305,9 @@ def test_lattice_sizes():
      1025, 1024),
     (lambda: ge.all_automorphisms(_table_cyclic(12), cap=10), 12, 10),
     (lambda: om.holomorph_rank(_table_cyclic(65)), 65, 64),
-], ids=["lattice", "isomorphism", "automorphisms", "holomorph"])
+    (lambda: om.brute_force_aut(_table_cyclic(1024)), 1024, 512),
+], ids=["lattice", "isomorphism", "automorphisms", "holomorph",
+        "automorphism-group"])
 def test_cap_refusal_names_order_and_cap(trip, order, cap):
     with pytest.raises(ValueError) as err:
         trip()

@@ -6,6 +6,9 @@ import pytest
 from orbitforge import constructions as cons
 from orbitforge import group_engine as ge
 from orbitforge import orbit_machine as om
+from orbitforge import verify_suite as vs
+from orbitforge.permgroup import PermGroup
+from test_acceptance import _small_inventory
 
 
 def cyclic(n):
@@ -108,7 +111,7 @@ def test_holomorph_rank_streamed():
 
 def test_holomorph_one_pair_block(monkeypatch):
     G = direct([2, 2, 2, 2])
-    aut = om.brute_force_aut(G)
+    aut = om.AutomorphismSet(G, ge.all_automorphisms(G), verify=False)
     assert len(aut) == 20160         # GL(4, 2): 79 blocks of 256 pair perms
     count = om.orbits(G, aut)["count"]
     inner = om.orbit_labels
@@ -196,10 +199,37 @@ def test_linear_split_layers():
 def test_brute_force_aut_is_group():
     Q8 = quat()
     aut = om.brute_force_aut(Q8)
-    perms = aut.perms
-    assert len(perms) == 24
-    keys = {p.tobytes() for p in perms}
-    rng = np.random.RandomState(3)
-    for _ in range(50):
-        i, j = rng.randint(0, len(perms), size=2)
-        assert perms[i][perms[j]].tobytes() in keys
+    group = PermGroup(aut.perms, 8)
+    assert group.order() == len(aut) == 24
+    assert all(group.contains(p) for p in ge.all_automorphisms(Q8))
+
+
+def _gate_groups():
+    for tag, inst in _small_inventory():
+        yield tag, inst.group
+    yield "q8_on_c3c3", vs.q8_on_c3c3()
+    yield "S3", perm_group([(1, 2, 0), (1, 0, 2)])
+    yield "A4", perm_group([(1, 2, 0, 3), (0, 2, 3, 1)])
+    yield "S4", perm_group([(1, 2, 3, 0), (1, 0, 2, 3)])
+    yield "Q8", quat()
+    yield "D4", perm_group([(1, 2, 3, 0), (1, 0, 3, 2)])
+    yield "(C2)^4", direct([2, 2, 2, 2])
+    yield "(C3)^3", direct([3, 3, 3])
+
+
+def test_aut_generators_match_enumeration():
+    """Strong generators and |Aut| against the find-all listing."""
+    for tag, G in _gate_groups():
+        aut = om.brute_force_aut(G)
+        full = ge.all_automorphisms(G)
+        listed = om.AutomorphismSet(G, full, verify=False)
+        assert len(aut) == len(full), tag
+        assert np.array_equal(om.orbits(G, aut)["labels"],
+                              om.orbits(G, listed)["labels"]), tag
+        assert all(om.verify_automorphism(G, p) for p in aut.perms), tag
+        if G.n <= om.HOLOMORPH_CAP:
+            assert om.holomorph_rank(G, aut) == \
+                om.holomorph_rank(G, listed), tag
+        if len(full) <= 20000:
+            group = PermGroup(aut.perms, G.n)
+            assert all(group.contains(p) for p in full), tag
