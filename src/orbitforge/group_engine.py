@@ -9,8 +9,11 @@ Every table is proved a group on construction: Latin square, two-sided
 identity and inverses, and associativity by Light's test on a generating
 set S, at n^2 * |S| cost for every order.  The center is the centralizer
 of S; G', the lower central terms and a p-group's Frattini subgroup are
-normal closures of commutators and p-th powers of generators.  Caps:
-Frattini via the subgroup lattice at |G| <= 512 for non-p-groups,
+normal closures of commutators and p-th powers of generators.  A
+non-p-group's Frattini subgroup is the intersection of its maximal
+subgroups, read off the whole subgroup lattice; the lattice walk closes
+<H, g> once per class H{g^k : gcd(k, |g|) = 1}H, since every member of
+that class gives the same subgroup.  Caps: the lattice at |G| <= 512,
 isomorphism search at |G| <= 1024, and Aut(G) at |G| <= 512, found as
 strong generators plus its order by an exhaustive base-image backtrack.
 """
@@ -221,12 +224,25 @@ class FiniteGroup:
         """Every subgroup, by cyclic extension (Holt, Eick & O'Brien,
         Handbook of Computational Group Theory, 2005): each subgroup H is
         queued with the generators that built it and extended by one g
-        from each right coset Hg outside H, since <H, g> = <H, hg>;
-        |G| <= 512."""
+        from each class H{g^k : gcd(k, |g|) = 1}H outside H.  Every
+        member h g^k h' of that class gives <H, h g^k h'> = <H, g>, since
+        g^k generates <g>, so skipping the rest of the class loses no
+        subgroup, and the walk still reaches every subgroup.  The coprime
+        powers P of g come from one table of x^k for k < exp(G), and the
+        class is marked as (H P) H, two steps of at most n |H| cells
+        each; |G| <= 512."""
         if self.n > LATTICE_CAP:
             raise ValueError("subgroup lattice: group order %d exceeds cap %d"
                              % (self.n, LATTICE_CAP))
         if "subgroups" not in self._cache:
+            mul, orders = self.mul, self.orders()
+            ar = np.arange(self.n)
+            powers = np.empty((self.exponent(), self.n), dtype=np.int64)
+            powers[0] = self.e
+            for k in range(1, len(powers)):
+                powers[k] = mul[powers[k - 1], ar]
+            units = {o: np.flatnonzero(np.gcd(np.arange(o), o) == 1)
+                     for o in set(orders.tolist())}
             triv = self.closure([])
             seen = {triv.tobytes(): triv}
             queue = deque([(triv, [])])
@@ -237,8 +253,10 @@ class FiniteGroup:
                 for g in range(self.n):
                     if covered[g]:
                         continue
-                    covered[self.mul[H, g]] = True
-                    K = closure_subgroup(self.mul, hgens + [g])
+                    P = powers[units[int(orders[g])], g]
+                    X = np.unique(mul[np.ix_(H, P)])
+                    covered[mul[np.ix_(X, H)]] = True
+                    K = closure_subgroup(mul, hgens + [g])
                     key = K.tobytes()
                     if key not in seen:
                         seen[key] = K

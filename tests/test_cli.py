@@ -1,11 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import orbitforge
 from orbitforge import cli
 from orbitforge import constructions as cons
 from orbitforge.group_engine import import_cayley
@@ -128,10 +130,15 @@ def test_report_schema_matches():
 
 
 def test_module_entrypoint():
+    # the child imports the same orbitforge as this process, installed or
+    # put on sys.path by pytest's `pythonpath` setting
+    src = os.path.dirname(os.path.dirname(orbitforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "orbitforge.cli", "verify-line", "4",
          "--n", "1", "--json"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0
     rep = json.loads(proc.stdout.strip())
     assert rep["status"] == "verified"

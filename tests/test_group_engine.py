@@ -283,20 +283,85 @@ def _reference_lattice(G):
     return sorted((sorted(H) for H in seen), key=lambda h: (len(h), h))
 
 
+def sl2_3():
+    """SL(2, 3) acting on the 8 nonzero vectors of GF(3)^2."""
+    vecs = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+    idx = {v: i for i, v in enumerate(vecs)}
+
+    def act(m):
+        return tuple(idx[((m[0][0] * a + m[0][1] * b) % 3,
+                          (m[1][0] * a + m[1][1] * b) % 3)] for a, b in vecs)
+
+    return perm_group([act(((1, 1), (0, 1))), act(((1, 0), (1, 1)))])
+
+
+def s4():
+    return perm_group([(1, 2, 3, 0), (1, 0, 2, 3)])
+
+
+def a4():
+    return perm_group([(1, 2, 0, 3), (0, 2, 3, 1)])
+
+
 def test_lattice_matches_reference():
-    S4 = perm_group([(1, 2, 3, 0), (1, 0, 2, 3)])
+    """The double-coset walk against the every-element reference: S4, A4,
+    D4 and SL(2, 3) have non-normal subgroups, so H g H is more than one
+    coset, and the generators of C12 have four coprime powers."""
+    S4 = s4()
     assert S4.n == 24
     assert len(S4.derived()) == 12
-    for G, count in ((perm_group([(1, 2, 0), (1, 0, 2)]), 6), (quat(), 6),
-                     (S4, 30)):
+    for G, n, count in ((perm_group([(1, 2, 0), (1, 0, 2)]), 6, 6),
+                        (quat(), 8, 6), (S4, 24, 30), (a4(), 12, 10),
+                        (perm_group([(1, 2, 3, 0), (1, 0, 3, 2)]), 8, 10),
+                        (cyclic(12), 12, 6), (sl2_3(), 24, 15)):
+        assert G.n == n
         got = [H.tolist() for H in G.all_subgroups()]
         assert len(got) == count
         assert got == _reference_lattice(G)
 
 
+@pytest.mark.parametrize("build, order", [
+    (lambda: cyclic(12), 2), (sl2_3, 2), (s4, 1), (a4, 1)],
+    ids=["C12", "SL(2,3)", "S4", "A4"])
+def test_frattini_of_non_p_group_matches_reference(build, order):
+    """The lattice branch of frattini(): the intersection of the maximal
+    subgroups of the reference lattice."""
+    G = build()
+    assert ge._prime_power(G.n) is None
+    subs = [set(H) for H in _reference_lattice(G)[:-1]]
+    phi = set(range(G.n))
+    for H in subs:
+        if not any(H < K for K in subs):
+            phi &= H
+    assert G.frattini().tolist() == sorted(phi)
+    assert len(phi) == order
+
+
 def test_lattice_sizes():
     assert len(cons.line2_frobenius(2, 5, 1, 1).group.all_subgroups()) == 84
     assert len(vs.q8_on_c3c3().all_subgroups()) == 68
+
+
+@pytest.mark.parametrize("build, size, most", [
+    (lambda: cons.line2_frobenius(2, 5, 1, 1).group, 84, 460),
+    (vs.q8_on_c3c3, 68, 361)], ids=["line2_frobenius", "q8_on_c3c3"])
+def test_lattice_closes_once_per_double_coset_class(build, size, most,
+                                                    monkeypatch):
+    """all_subgroups closes <H, g> once per class H{g^k}H, k prime to
+    |g|: 460 and 361 closures, where one per right coset Hg took 1709
+    and 1155."""
+    G = build()
+    calls = []
+    inner = ge.closure_subgroup
+
+    def spy(mul, seed):
+        calls.append(seed)
+        return inner(mul, seed)
+
+    monkeypatch.setattr(ge, "closure_subgroup", spy)
+    G._cache.pop("subgroups", None)
+    assert len(G.all_subgroups()) == size
+    assert len(calls) <= most
 
 
 @pytest.mark.parametrize("trip, order, cap", [
