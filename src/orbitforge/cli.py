@@ -52,65 +52,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_FAMILY_PARAMS = {
-    "line1": ("p", "n"),
-    "line2": ("p", "r", "ell", "d"),
-    "suzukiA": ("n", "theta"),
-    "suzukiB": ("n", "eps_choice"),
-    "dornhoff": (),
-    "sl3": ("q",),
-    "heisenberg": ("p", "m", "n", "b"),
-    "gl3-tower": (),
-    "extraspecial2": ("k", "eps"),
-}
-
-_PARAM_DEFAULT = {"theta": 1, "eps_choice": 0, "ell": 1, "d": 1}
+def _given(args, names):
+    """The flags among names that the command line set, in that order."""
+    return {k: getattr(args, k) for k in names
+            if getattr(args, k, None) is not None}
 
 
-def _collect_params(args, names):
-    got = {}
-    for k in names:
-        v = getattr(args, k.replace("-", "_"), None)
-        if v is not None:
-            got[k] = v
-        elif k in _PARAM_DEFAULT:
-            got[k] = _PARAM_DEFAULT[k]
-        else:
-            raise ValueError("missing required parameter --%s" % k)
-    return got
+def _union(name_lists):
+    return tuple(dict.fromkeys(k for names in name_lists for k in names))
 
 
-def _build_family(family, args):
-    cap = _size_cap(args)
-    names = _FAMILY_PARAMS[family]
-    prm = _collect_params(args, names)
-    if family == "line1":
-        return cons.line1_abelian(prm["p"], prm["n"], cap=cap), prm
-    if family == "line2":
-        return cons.line2_frobenius(prm["p"], prm["r"], prm["ell"],
-                                    prm["d"], cap=cap), prm
-    if family == "suzukiA":
-        return cons.suzuki_A(prm["n"], prm["theta"], cap=cap), prm
-    if family == "suzukiB":
-        return cons.suzuki_B(prm["n"], prm["eps_choice"], cap=cap), prm
-    if family == "dornhoff":
-        return cons.dornhoff_P(cap=cap), prm
-    if family == "sl3":
-        from .group_engine import _prime_power
-        pk = _prime_power(prm["q"])
-        if pk is None:
-            raise ValueError("%d is not a prime power" % prm["q"])
-        return cons.sl3_pair(pk, cap=cap), prm
-    if family == "heisenberg":
-        p, m, n, b = prm["p"], prm["m"], prm["n"], prm["b"]
-        if b % n or m % b or (m // b) % 2:
-            raise ValueError("need n | b | m with m/b even")
-        return cons.heisenberg_trace((p, b), (p, n), m // b, cap=cap), prm
-    if family == "gl3-tower":
-        return cons.gl3_tower((3, 1), (3, 1), cap=cap), prm
-    if family == "extraspecial2":
-        return cons.extraspecial2(prm["k"], prm["eps"], cap=cap), prm
-    raise ValueError("unknown family %r" % family)
+def _build_instance(args):
+    names = cons.family_params(args.family)
+    return cons.build(args.family, _given(args, names), _size_cap(args))
 
 
 def _add_common(sp):
@@ -138,34 +92,30 @@ def _add_param_flags(sp, names):
             sp.add_argument("--" + k, type=int, help=helptext.get(k, ""))
 
 
-_ALL_PARAM_FLAGS = ("p", "n", "r", "q", "m", "b", "theta", "eps_choice",
-                    "ell", "d", "k", "eps")
-
-
 def build_parser():
     ap = _Parser(prog="orbitforge",
                  description="construct and verify finite groups with "
                              "few automorphism orbits")
     sub = ap.add_subparsers(dest="verb", required=True, metavar="VERB")
 
-    families = sorted(_FAMILY_PARAMS)
+    families = sorted(cons.FAMILIES)
+    family_flags = _union(cons.family_params(f) for f in families)
     sp = sub.add_parser("construct", help="build one family instance")
     sp.add_argument("family", choices=families)
-    _add_param_flags(sp, _ALL_PARAM_FLAGS)
+    _add_param_flags(sp, family_flags)
     sp.add_argument("--export-cayley", metavar="PATH", default=None,
                     help="also write the Cayley table to PATH")
     _add_common(sp)
 
     sp = sub.add_parser("orbits", help="orbit structure of one instance")
     sp.add_argument("family", choices=families + ["q8-c3c3"])
-    _add_param_flags(sp, _ALL_PARAM_FLAGS)
+    _add_param_flags(sp, family_flags)
     _add_common(sp)
 
     sp = sub.add_parser("verify-line", help="three-orbit claim for a "
                                             "catalog line")
-    sp.add_argument("line", choices=[str(t) for t in range(1, 8)] + ["all"])
-    _add_param_flags(sp, ("p", "n", "r", "q", "m", "b", "theta",
-                          "eps_choice"))
+    sp.add_argument("line", choices=[str(t) for t in vs.LINES] + ["all"])
+    _add_param_flags(sp, _union(vs.line_params(t) for t in vs.LINES))
     sp.add_argument("--threads", type=int, default=1, metavar="N",
                     help="worker threads for battery runs (default 1)")
     _add_common(sp)
@@ -184,22 +134,22 @@ def build_parser():
     _add_common(sp)
 
     sp = sub.add_parser("verify-4orbit", help="four-orbit claims")
-    sp.add_argument("family", choices=["gl3-tower", "extraspecial2",
-                                       "line2-frobenius", "q8-c3c3", "all"])
-    _add_param_flags(sp, ("q", "k", "eps", "p", "r", "ell", "d"))
+    sp.add_argument("family", choices=list(vs.FOUR_ORBIT) + ["all"])
+    _add_param_flags(sp, _union(prm for _, prm, _ in
+                                 vs.FOUR_ORBIT.values()))
     sp.add_argument("--threads", type=int, default=1, metavar="N")
     _add_common(sp)
 
     sp = sub.add_parser("hering-check", help="transitive linear group "
                                              "certificates")
-    sp.add_argument("kind", choices=["gammaL1", "sp", "sl", "sl2-5", "all"])
-    _add_param_flags(sp, ("p", "m", "d", "q"))
+    sp.add_argument("kind", choices=list(vs.HERING_PARAMS) + ["all"])
+    _add_param_flags(sp, _union(vs.HERING_PARAMS.values()))
     sp.add_argument("--threads", type=int, default=1, metavar="N")
     _add_common(sp)
 
     sp = sub.add_parser("export-cayley", help="write a Cayley table file")
     sp.add_argument("family", choices=families)
-    _add_param_flags(sp, _ALL_PARAM_FLAGS)
+    _add_param_flags(sp, family_flags)
     sp.add_argument("--out", metavar="PATH", required=True)
     _add_common(sp)
 
@@ -283,7 +233,7 @@ def _instance_summary(inst, family, prm):
 
 
 def _do_construct(args, out):
-    inst, prm = _build_family(args.family, args)
+    inst, prm = _build_instance(args)
     info = _instance_summary(inst, args.family, prm)
     path = getattr(args, "export_cayley", None)
     if path:
@@ -306,7 +256,7 @@ def _do_orbits(args, out):
         prm = {}
         om = omega_exact(G, brute_force_aut(G), inner=False)
     else:
-        inst, prm = _build_family(args.family, args)
+        inst, prm = _build_instance(args)
         G = inst.group
         om = omega_exact(G, inst.acts, caut=vs._caut_or_none(G))
     info = {
@@ -327,17 +277,12 @@ def _do_orbits(args, out):
     return 0
 
 
-def _line_params_from_args(line, args):
-    return {k: getattr(args, k) for k in vs._LINE_PARAM_ORDER[line]
-            if getattr(args, k, None) is not None}
-
-
 def _do_verify_line(args, out):
     if args.line == "all":
         jobs = [("line", line, prm) for line, prm in vs.table_battery()]
     else:
         line = int(args.line)
-        jobs = [("line", line, _line_params_from_args(line, args))]
+        jobs = [("line", line, _given(args, vs.line_params(line)))]
     return _emit_reports(_run_jobs(jobs, args), args.json, out)
 
 
@@ -361,10 +306,8 @@ def _do_verify_4orbit(args, out):
     if args.family == "all":
         jobs = [("four", fam, prm) for fam, prm in vs.four_orbit_battery()]
     else:
-        prm = {k: getattr(args, k) for k in
-               ("q", "k", "eps", "p", "r", "ell", "d")
-               if getattr(args, k, None) is not None}
-        jobs = [("four", args.family, prm)]
+        defaults = vs.FOUR_ORBIT[args.family][1]
+        jobs = [("four", args.family, _given(args, defaults))]
     return _emit_reports(_run_jobs(jobs, args), args.json, out)
 
 
@@ -372,20 +315,13 @@ def _do_hering(args, out):
     if args.kind == "all":
         jobs = [("hering", kind, prm) for kind, prm in vs.hering_battery()]
     else:
-        need = {"gammaL1": ("p", "m"), "sp": ("d", "q"), "sl": ("d", "q"),
-                "sl2-5": ("p",)}[args.kind]
-        prm = {}
-        for k in need:
-            v = getattr(args, k, None)
-            if v is None:
-                raise ValueError("%s needs --%s" % (args.kind, k))
-            prm[k] = v
+        prm = _given(args, vs.HERING_PARAMS[args.kind])
         jobs = [("hering", args.kind, prm)]
     return _emit_reports(_run_jobs(jobs, args), args.json, out)
 
 
 def _do_export(args, out):
-    inst, prm = _build_family(args.family, args)
+    inst, prm = _build_instance(args)
     export_cayley(inst.group, args.out)
     if args.json:
         out.write(json.dumps({"family": args.family, "params": prm,

@@ -4,8 +4,14 @@ Every family is realized on tuple codes (field element indices or small
 residues), its multiplication table is built vectorized from coordinate
 formulas, and each structured automorphism generator attached to the
 family is verified against the table before it is returned.
+
+FAMILIES maps each family name to a function whose signature is the
+family's parameter schema: names in report order, defaults for the
+optional ones.  build() checks a parameter map against it and builds.
 """
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -13,7 +19,7 @@ import numpy as np
 
 from . import linalg_mod as lm
 from .gf_arith import (element_of_order, field_create, frob_table, is_prime,
-                       subfield_embed, trace_table)
+                       prime_power, subfield_embed, trace_table)
 from .group_engine import FiniteGroup
 from .orbit_machine import AutomorphismSet
 
@@ -576,3 +582,61 @@ def extraspecial2(k, eps, *, cap=None):
     meta = {"p": 2, "eps": eps, "k": k, "W_order": 2, "V_order": 2 ** d}
     return _instance("extraspecial2", {"k": k, "eps": eps},
                      coder, table, perms, meta)
+
+
+# ------------------------------------------------------- family table
+
+def _sl3(q, *, cap):
+    pk = prime_power(q)
+    if pk is None:
+        raise ValueError("%d is not a prime power" % q)
+    return sl3_pair(pk, cap=cap)
+
+
+def _heisenberg(p, m, n, b, *, cap):
+    """Line 7: GF(p^b)^(m/b) x GF(p^n), so |V| = p^m and |W| = p^n."""
+    if b % n or m % b or (m // b) % 2:
+        raise ValueError("need n | b | m with m/b even")
+    return heisenberg_trace((p, b), (p, n), m // b, cap=cap)
+
+
+# these functions look each constructor up when called, so a wrapper put on
+# the module attribute (a profiling span, a test double) sees the call
+FAMILIES = {
+    "line1": lambda p, n, *, cap: line1_abelian(p, n, cap=cap),
+    "line2": lambda p, r, ell=1, d=1, *, cap: line2_frobenius(p, r, ell, d,
+                                                             cap=cap),
+    "suzukiA": lambda n, theta=1, *, cap: suzuki_A(n, theta, cap=cap),
+    "suzukiB": lambda n, eps_choice=0, *, cap: suzuki_B(n, eps_choice,
+                                                        cap=cap),
+    "dornhoff": lambda *, cap: dornhoff_P(cap=cap),
+    "sl3": _sl3,
+    "heisenberg": _heisenberg,
+    "gl3-tower": lambda *, cap: gl3_tower((3, 1), (3, 1), cap=cap),
+    "extraspecial2": lambda k, eps, *, cap: extraspecial2(k, eps, cap=cap),
+}
+
+
+@functools.cache
+def family_params(family):
+    """The family's parameter names in report order."""
+    return tuple(k for k in inspect.signature(FAMILIES[family]).parameters
+                 if k != "cap")
+
+
+def build(family, params, cap=None):
+    """(instance, canonical params) for one family: params must name
+    only the family's parameters and give every one without a default;
+    the canonical map lists all of them, in report order, as ints (eps
+    as its sign string)."""
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % family)
+    make = FAMILIES[family]
+    try:
+        bound = inspect.signature(make).bind(cap=cap, **params)
+    except TypeError as exc:
+        raise ValueError("%s: %s" % (family, exc)) from None
+    bound.apply_defaults()
+    prm = {k: str(v) if k == "eps" else int(v)
+           for k, v in bound.arguments.items() if k != "cap"}
+    return make(**prm, cap=cap), prm

@@ -15,6 +15,8 @@ larger fields (allowed up to SIZE_CAP) fall back to polynomial
 arithmetic per operation.
 """
 
+import math
+
 import numpy as np
 
 SIZE_CAP = 1 << 20
@@ -30,6 +32,19 @@ def is_prime(n):
             return False
         d += 1
     return True
+
+
+def prime_power(n):
+    """(p, k) with n = p^k for a prime p and k >= 1, or None when n is
+    not a prime power."""
+    if n < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
 
 
 # ------------------------------------------------- polynomials over GF(p)

@@ -26,30 +26,12 @@ from collections import Counter, deque
 import numpy as np
 
 from ._kernels import BLOCK_CELLS, closure_subgroup, orbit_labels
+from .gf_arith import prime_power
 from .permgroup import PermGroup
 
 LATTICE_CAP = 512
 ISO_CAP = 1 << 10
 AUT_ENUM_CAP = 1 << 9
-
-
-def _prime_power(n):
-    """(p, a) with n = p^a, or None."""
-    if n < 2:
-        return None
-    p = None
-    m = n
-    for cand in range(2, int(math.isqrt(n)) + 1):
-        if m % cand == 0:
-            p = cand
-            break
-    if p is None:
-        return (n, 1)
-    a = 0
-    while m % p == 0:
-        m //= p
-        a += 1
-    return (p, a) if m == 1 else None
 
 
 class FiniteGroup:
@@ -279,7 +261,7 @@ class FiniteGroup:
         """Frattini subgroup; None when the group is not a p-group and
         exceeds the lattice cap."""
         if "frattini" not in self._cache:
-            pp = _prime_power(self.n)
+            pp = prime_power(self.n)
             if self.n == 1:
                 phi = np.array([self.e], dtype=np.int64)
             elif pp is not None:

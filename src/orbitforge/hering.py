@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg_mod as lm
 from ._kernels import orbit_labels
-from .gf_arith import element_of_order, field_create, is_prime
+from .gf_arith import element_of_order, field_create, prime_power
 from .permgroup import PermGroup
 
 CLOSURE_CAP = 10 ** 6
@@ -99,7 +99,9 @@ def sp_gens(d, q):
     the standard alternating form exactly (multiplier 1)."""
     if d % 2 != 0:
         raise ValueError("d must be even")
-    pk = _factor_prime_power(q)
+    pk = prime_power(q)
+    if pk is None:
+        raise ValueError(f"{q} is not a prime power")
     F = field_create(*pk)
     if F.q ** d > VECTOR_CAP:
         raise ValueError("vector space exceeds cap")
@@ -113,7 +115,9 @@ def sp_gens(d, q):
 
 def sl_gens(d, q):
     """Elementary transvections E_ij(t^s); determinant 1 checked."""
-    pk = _factor_prime_power(q)
+    pk = prime_power(q)
+    if pk is None:
+        raise ValueError(f"{q} is not a prime power")
     F = field_create(*pk)
     if F.q ** d > VECTOR_CAP:
         raise ValueError("vector space exceeds cap")
@@ -129,20 +133,6 @@ def sl_gens(d, q):
                     raise AssertionError("elementary matrix determinant")
                 mats.append(M)
     return MatrixGroupGens(pk, d, mats, "sl", {"d": d, "q": q})
-
-
-def _factor_prime_power(q):
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            k = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                k += 1
-            if qq != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return (p, k)
-    raise ValueError(f"{q} is not a prime power")
 
 
 def solvable_residual(gens, cap=CLOSURE_CAP):
@@ -194,7 +184,7 @@ def _sl2_elements(p):
     return np.concatenate([zero, rest]).reshape(-1, 2, 2)
 
 
-def sl2_5_search(p, max_candidates=None):
+def sl2_5_search(p):
     """Search GL_2(p) for a copy of the order-120 perfect group with a
     unique involution, seeded by (order 4, order 10) generator pairs.
     For p > 11 the result is augmented with the scalar primitive so the
@@ -214,11 +204,7 @@ def sl2_5_search(p, max_candidates=None):
                & np.any(M5 != eye, axis=(1, 2))
                & np.any(M2 != eye, axis=(1, 2)))
     found = None
-    tried = 0
     for cand in sl2[order10]:
-        tried += 1
-        if max_candidates and tried > max_candidates:
-            break
         # -I is the only involution of SL_2(p), so an order-120 subgroup
         # has exactly one
         pair = MatrixGroupGens((p, 1), 2, [A, cand], "sl2_5")

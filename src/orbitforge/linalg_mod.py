@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf_arith
-from .gf_arith import field_create
+from .gf_arith import field_create, prime_power
 
 
 # ------------------------------------------------------------ matrix algebra
@@ -260,17 +259,11 @@ def sp_lambda2_submodules(ell, q):
     """Invariance of D = <sum e_{2i-1}^e_{2i}> and W = ker(gram functional)
     inside Lambda^2 of GF(q)^{2 ell} under Sp generators, and the D <= W
     test (which must come out as p | ell)."""
-    p = None
-    for cand in range(2, q + 1):
-        if gf_arith.is_prime(cand) and q % cand == 0:
-            p = cand
-            break
-    k = 0
-    qq = q
-    while qq > 1:
-        qq //= p
-        k += 1
-    F = field_create(p, k)
+    pk = prime_power(q)
+    if pk is None:
+        raise ValueError(f"{q} is not a prime power")
+    p = pk[0]
+    F = field_create(*pk)
     d = 2 * ell
     form = standard_symplectic(F, d)
     basis = wedge_basis(d, 2)

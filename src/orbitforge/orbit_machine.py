@@ -14,7 +14,8 @@ from collections import deque
 import numpy as np
 
 from ._kernels import BLOCK_CELLS, orbit_labels
-from .group_engine import (AUT_ENUM_CAP, _prime_power, automorphism_group,
+from .gf_arith import prime_power
+from .group_engine import (AUT_ENUM_CAP, automorphism_group,
                            characteristic_core, hom_on_generators)
 from .permgroup import PermGroup
 
@@ -111,7 +112,7 @@ def invariant_features(G):
             feats.append(_membership(G.n, core[key]))
     for gam in core["gamma"][1:]:
         feats.append(_membership(G.n, gam))
-    pp = _prime_power(G.n)
+    pp = prime_power(G.n)
     if pp is not None and G.n > 1:
         p = pp[0]
         i = 1
@@ -186,7 +187,7 @@ def linear_split(G):
     G/N elementary abelian: bases for the two layers, additive coset
     coordinates for every element, and coordinates inside N, all checked
     for additivity against the multiplication table."""
-    pp = _prime_power(G.n)
+    pp = prime_power(G.n)
     if pp is None:
         raise ValueError("not a p-group")
     p = pp[0]

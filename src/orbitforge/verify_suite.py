@@ -2,7 +2,6 @@
 two-sided orbit count, check the structural side conditions, and emit a
 fixed-schema report dict."""
 
-import os
 import time
 
 import numpy as np
@@ -11,14 +10,14 @@ from . import constructions as cons
 from . import hering
 from . import linalg_mod as lm
 from ._kernels import BLOCK_CELLS
-from .gf_arith import element_of_order, field_create, subfield_embed, \
-    trace_table
+from .gf_arith import element_of_order, field_create, prime_power, \
+    subfield_embed, trace_table
 from .group_engine import FiniteGroup, ISO_CAP, _invariant_screen, \
-    _prime_power, characteristic_core, find_isomorphism
+    characteristic_core, find_isomorphism
 from .orbit_machine import brute_force_aut, central_automorphisms, \
     induced_pair, linear_split, omega_exact
 
-EXHAUSTIVE_ENV = "ORBITFORGE_EXHAUSTIVE"
+MAP_SEARCH_NODE_CAP = 2_000_000
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -112,57 +111,17 @@ def _param_str(params):
 
 # ------------------------------------------------------- table lines
 
-_LINE_PARAM_ORDER = {
-    1: ("p", "n"), 2: ("p", "r"), 3: ("n", "theta"), 4: ("n", "eps_choice"),
-    5: (), 6: ("q",), 7: ("p", "m", "n", "b"),
-}
-_LINE_PARAM_DEFAULT = {"theta": 1, "eps_choice": 0}
+# catalog line -> (family, parameters held at the family default and left
+# out of the claim): a line-2 claim is the ell = d = 1 case
+LINES = {1: ("line1", ()), 2: ("line2", ("ell", "d")), 3: ("suzukiA", ()),
+         4: ("suzukiB", ()), 5: ("dornhoff", ()), 6: ("sl3", ()),
+         7: ("heisenberg", ())}
 
 
-def _canon_line_params(line, params):
-    if line not in _LINE_PARAM_ORDER:
-        raise ValueError("line must be 1..7")
-    order = _LINE_PARAM_ORDER[line]
-    extra = set(params) - set(order)
-    if extra:
-        raise ValueError("unknown parameters for line %d: %s"
-                         % (line, sorted(extra)))
-    out = {}
-    for k in order:
-        if k in params:
-            out[k] = int(params[k])
-        elif k in _LINE_PARAM_DEFAULT:
-            out[k] = _LINE_PARAM_DEFAULT[k]
-        else:
-            raise ValueError("line %d needs parameter %r" % (line, k))
-    return out
-
-
-def _build_line(line, params, cap):
-    if line == 1:
-        return cons.line1_abelian(params["p"], params["n"], cap=cap)
-    if line == 2:
-        inst = cons.line2_frobenius(params["p"], params["r"], 1, 1, cap=cap)
-        if inst.meta["q"] != params["p"] ** (params["r"] - 1):
-            raise AssertionError("scalar field is not p^(r-1)")
-        return inst
-    if line == 3:
-        return cons.suzuki_A(params["n"], params["theta"], cap=cap)
-    if line == 4:
-        return cons.suzuki_B(params["n"], params["eps_choice"], cap=cap)
-    if line == 5:
-        return cons.dornhoff_P(cap=cap)
-    if line == 6:
-        pk = _prime_power(params["q"])
-        if pk is None or pk[0] == 2:
-            raise ValueError("q must be an odd prime power")
-        return cons.sl3_pair(pk, cap=cap)
-    if line == 7:
-        p, m, n, b = params["p"], params["m"], params["n"], params["b"]
-        if b % n or m % b or (m // b) % 2:
-            raise ValueError("need n | b | m with m/b even")
-        return cons.heisenberg_trace((p, b), (p, n), m // b, cap=cap)
-    raise ValueError("line must be 1..7")
+def line_params(line):
+    """The parameters a line's claim takes and reports, in report order."""
+    family, held = LINES[line]
+    return tuple(k for k in cons.family_params(family) if k not in held)
 
 
 # side conditions about the supplied automorphisms, not about G alone
@@ -173,10 +132,19 @@ _ACTING_SET_CHECKS = ("orbit_lengths_formula", "A_transitive",
 def verify_table_line(line, params, *, cap=None):
     """Three-orbit check for one table line at the given parameters."""
     t0 = time.perf_counter()
-    params = _canon_line_params(line, params)
-    inst = _build_line(line, params, cap)
+    if line not in LINES:
+        raise ValueError("line must be 1..7")
+    names = line_params(line)
+    extra = set(params) - set(names)
+    if extra:
+        raise ValueError("unknown parameters for line %d: %s"
+                         % (line, sorted(extra)))
+    inst, prm = cons.build(LINES[line][0], params, cap)
+    params = {k: prm[k] for k in names}
     G = inst.group
     meta = inst.meta
+    if line == 2 and meta["q"] != params["p"] ** (params["r"] - 1):
+        raise AssertionError("scalar field is not p^(r-1)")
     core = characteristic_core(G)
     caut = _caut_or_none(G) if line != 2 else None
     om = omega_exact(G, inst.acts, caut=caut, inner=True)
@@ -285,7 +253,7 @@ def verify_gfgf_iso(q, d, e, *, cap=None):
     field and the d-dimensional group over the middle field, checked on
     every pair of elements, plus a blind search cross-check."""
     t0 = time.perf_counter()
-    pk = _prime_power(q)
+    pk = prime_power(q)
     if pk is None or pk[0] == 2:
         raise ValueError("q must be an odd prime power")
     if d % 2 or d < 2 or e < 1:
@@ -459,7 +427,7 @@ def _solve_invertible(piv, n):
     return None
 
 
-def special2_map_search(da, db, *, node_cap=2_000_000):
+def special2_map_search(da, db):
     """Search for invertible linear maps (sigma on the quotient layer,
     tau on the bottom layer) with tau . Q = Q' . sigma.  Every pruning
     step is a necessary condition, so found=False is a proof that no
@@ -505,7 +473,7 @@ def special2_map_search(da, db, *, node_cap=2_000_000):
             if in_img[c]:
                 continue
             state["nodes"] += 1
-            if state["nodes"] > node_cap:
+            if state["nodes"] > MAP_SEARCH_NODE_CAP:
                 raise RuntimeError("search node cap exceeded")
             piv2 = piv.copy()
             ok = True
@@ -538,13 +506,11 @@ def special2_map_search(da, db, *, node_cap=2_000_000):
     return out
 
 
-def verify_irredundant(exhaustive=None, *, cap=None):
+def verify_irredundant(exhaustive=False, *, cap=None):
     """Catalog irredundancy: the positive identifications the listing
     relies on, invariant separation at coinciding orders, and the deep
     order-512 pair, plus the flag-gated order-1024 pair."""
     t0 = time.perf_counter()
-    if exhaustive is None:
-        exhaustive = os.environ.get(EXHAUSTIVE_ENV, "") == "1"
     checks = []
 
     def add(name, method, expected, observed, ok, **extra):
@@ -648,57 +614,53 @@ def q8_on_c3c3():
     return FiniteGroup(elems, table)
 
 
-_ES2_NAME = {"+": "plus", "-": "minus"}
+# four-orbit claim -> (family, or None for q8-c3c3 and its whole Aut(G);
+# claim parameters with their defaults; pinned orbit lengths, for
+# extraspecial2 a function of the parameters)
+FOUR_ORBIT = {
+    "gl3-tower": ("gl3-tower", {"q": 3}, [1, 2, 78, 2106]),
+    "extraspecial2": ("extraspecial2", {"k": 2, "eps": "+"}, None),
+    "line2-frobenius": ("line2", {"p": 2, "r": 3, "ell": 2, "d": 1},
+                        [1, 63, 128, 384]),
+    "q8-c3c3": (None, {}, [1, 8, 9, 54]),
+}
 
 
 def verify_four_orbit(family, params, *, cap=None):
     """omega = 4 verification with the frozen stratum data."""
     t0 = time.perf_counter()
+    if family not in FOUR_ORBIT:
+        raise ValueError("unknown 4-orbit family %r" % family)
+    build_as, defaults, expect = FOUR_ORBIT[family]
+    params = {k: type(v)(params.get(k, v)) for k, v in defaults.items()}
+    if family == "gl3-tower" and params["q"] != 3:
+        raise ValueError("only q = 3 fits the construction cap")
     expect_orders = None
     witnesses = {}
-    if family == "gl3-tower":
-        params = {"q": int(params.get("q", 3))}
-        if params["q"] != 3:
-            raise ValueError("only q = 3 fits the construction cap")
-        inst = cons.gl3_tower((3, 1), (3, 1), cap=cap)
-        G, acts = inst.group, inst.acts
-        expect = [1, 2, 78, 2106]
-        witnesses["gamma_orders"] = [len(g) for g in G.gamma_series()]
-        witnesses["exponent"] = G.exponent()
-    elif family == "extraspecial2":
-        k = int(params.get("k", 2))
-        eps = str(params.get("eps", "+"))
-        params = {"k": k, "eps": eps}
-        inst = cons.extraspecial2(k, eps, cap=cap)
-        G, acts = inst.group, inst.acts
-        qq = 2 ** k
-        sgn = 1 if eps == "+" else -1
-        expect = sorted(x for x in
-                        [1, 1, qq * qq + sgn * qq - 2, qq * (qq - sgn)]
-                        if x > 0)
-    elif family == "line2-frobenius":
-        params = {"p": int(params.get("p", 2)), "r": int(params.get("r", 3)),
-                  "ell": int(params.get("ell", 2)),
-                  "d": int(params.get("d", 1))}
-        inst = cons.line2_frobenius(params["p"], params["r"],
-                                    params["ell"], params["d"], cap=cap)
-        G, acts = inst.group, inst.acts
-        expect = [1, 63, 128, 384]
-        witnesses["frattini_note"] = "beyond the subgroup-lattice cap"
-    elif family == "q8-c3c3":
-        params = {}
+    if build_as is None:
         G = q8_on_c3c3()
         acts = brute_force_aut(G)
-        expect = [1, 8, 9, 54]
         expect_orders = [1, 3, 2, 4]
         witnesses["aut_order"] = len(acts)
         witnesses["method"] = "exhaustive automorphism enumeration"
     else:
-        raise ValueError("unknown 4-orbit family %r" % family)
+        inst, _ = cons.build(build_as, {k: params[k] for k in
+                                        cons.family_params(build_as)}, cap)
+        G, acts = inst.group, inst.acts
+    if family == "gl3-tower":
+        witnesses["gamma_orders"] = [len(g) for g in G.gamma_series()]
+        witnesses["exponent"] = G.exponent()
+    elif family == "extraspecial2":
+        qq = 2 ** params["k"]
+        sgn = 1 if params["eps"] == "+" else -1
+        expect = sorted(x for x in
+                        [1, 1, qq * qq + sgn * qq - 2, qq * (qq - sgn)]
+                        if x > 0)
+    elif family == "line2-frobenius":
+        witnesses["frattini_note"] = "beyond the subgroup-lattice cap"
 
     caut = _caut_or_none(G)
-    inner = family != "q8-c3c3"
-    om = omega_exact(G, acts, caut=caut, inner=inner)
+    om = omega_exact(G, acts, caut=caut, inner=build_as is not None)
     core = characteristic_core(G)
     sizes = _subgroup_sizes(core)
 
@@ -720,18 +682,27 @@ def verify_four_orbit(family, params, *, cap=None):
 
 # ------------------------------------------------------- linear checks
 
+# hering check -> its parameters, in report order
+HERING_PARAMS = {"gammaL1": ("p", "m"), "sp": ("d", "q"), "sl": ("d", "q"),
+                 "sl2-5": ("p",)}
+
+
 def verify_hering(kind, params):
     """Transitivity certificates for the linear-group stacks."""
     t0 = time.perf_counter()
+    if kind not in HERING_PARAMS:
+        raise ValueError("unknown check %r" % kind)
+    missing = [k for k in HERING_PARAMS[kind] if params.get(k) is None]
+    if missing:
+        raise ValueError("%s needs parameter %r" % (kind, missing[0]))
+    params = {k: int(params[k]) for k in HERING_PARAMS[kind]}
     witnesses = {}
     if kind == "gammaL1":
-        params = {"p": int(params["p"]), "m": int(params["m"])}
         gens = hering.gammaL1_gens(params["p"], params["m"])
         trans = hering.transitive_on_nonzero(gens)
         witnesses["nonzero_vectors"] = params["p"] ** params["m"] - 1
         ok = trans
     elif kind == "sp":
-        params = {"d": int(params["d"]), "q": int(params["q"])}
         gens = hering.sp_gens(params["d"], params["q"])
         trans = hering.transitive_on_nonzero(gens)
         order = hering.group_order(gens)
@@ -743,21 +714,17 @@ def verify_hering(kind, params):
         ok = trans and resid.meta["perfect"] \
             and resid.meta["order"] == order
     elif kind == "sl":
-        params = {"d": int(params["d"]), "q": int(params["q"])}
         gens = hering.sl_gens(params["d"], params["q"])
         trans = hering.transitive_on_nonzero(gens)
         witnesses["closure_order"] = hering.group_order(gens)
         witnesses["nonzero_vectors"] = params["q"] ** params["d"] - 1
         ok = trans
     elif kind == "sl2-5":
-        params = {"p": int(params["p"])}
         gens = hering.sl2_5_search(params["p"])
         trans = hering.transitive_on_nonzero(gens)
         witnesses["order"] = gens.meta["order"]
         witnesses["nonzero_vectors"] = params["p"] ** 2 - 1
         ok = trans and gens.meta["order"] == 120
-    else:
-        raise ValueError("unknown check %r" % kind)
     witnesses["transitive"] = bool(trans)
     status = VERIFIED if ok else REFUTED
     cid = "hering:%s:%s" % (kind, _param_str(params))

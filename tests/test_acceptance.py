@@ -5,6 +5,8 @@ exact check; no tolerances anywhere."""
 import os
 import time
 
+import pytest
+
 from orbitforge import constructions as cons
 from orbitforge import verify_suite as vs
 from orbitforge.orbit_machine import (brute_force_aut, central_automorphisms,
@@ -71,14 +73,15 @@ def test_criterion_3_field_tower_isomorphism():
 
 def test_criterion_4_irredundancy():
     t0 = time.time()
-    rep = vs.verify_irredundant()
+    exhaustive = os.environ.get("ORBITFORGE_EXHAUSTIVE") == "1"
+    rep = vs.verify_irredundant(exhaustive)
     assert rep["status"] == vs.VERIFIED
     checks = {c["name"]: c for c in rep["witnesses"]["checks"]}
     assert checks["twist-vs-inverse-twist-64"]["ok"]
     assert checks["epsilon-independence-64"]["ok"]
     assert checks["norm-512-vs-trace-512"]["ok"]
     gated = "twist-vs-squared-twist-1024" in checks
-    assert gated == (os.environ.get(vs.EXHAUSTIVE_ENV) == "1")
+    assert gated == exhaustive
     _stamp("4 (irredundancy)", t0,
            "%d checks%s" % (len(checks),
                             ", incl. order-1024" if gated else ""))
@@ -132,6 +135,9 @@ def test_criterion_7_wedge_submodules():
     for (ell, q) in ((2, 3), (3, 3), (2, 2), (2, 5)):
         rep = sp_lambda2_submodules(ell, q)
         assert rep["ok"], (ell, q, rep)
+    # 6 is no prime power: refused, not computed over GF(4)
+    with pytest.raises(ValueError):
+        sp_lambda2_submodules(1, 6)
     _stamp("7 (wedge submodule lattice)", t0, "4 parameter pairs")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 import orbitforge
 from orbitforge import cli
 from orbitforge import constructions as cons
+from orbitforge import verify_suite as vs
 from orbitforge.group_engine import import_cayley
 
 
@@ -49,6 +51,96 @@ def test_usage_errors():
     # partial iso flags: all of q, d, e or none
     code, _ = run_cli(["verify-iso", "--q", "3"])
     assert code == 1
+
+
+# each family at its smallest parameters: the flags given, then the
+# construct --json summary (pinned)
+CONSTRUCT_PINS = [
+    (["line1", "--p", "2", "--n", "1"],
+     {"family": "line1", "params": {"p": 2, "n": 1}, "order": 4,
+      "generators_given": 1,
+      "meta": {"p": 2, "n_dim": 1, "r": 2, "m_dim": 1, "W_order": 2,
+               "V_order": 2}}),
+    (["line2", "--p", "2", "--r", "3"],
+     {"family": "line2", "params": {"p": 2, "r": 3, "ell": 1, "d": 1},
+      "order": 12, "generators_given": 2,
+      "meta": {"p": 2, "r": 3, "ell": 1, "d": 1, "e": 3, "q": 4,
+               "W_order": 4, "V_order": 3, "n_dim": 2, "m_dim": 1}}),
+    (["suzukiA", "--n", "3"],
+     {"family": "suzukiA", "params": {"n": 3, "theta": 1}, "order": 64,
+      "generators_given": 2,
+      "meta": {"p": 2, "q": 8, "theta_exp": 1, "W_order": 8, "V_order": 8,
+               "n_dim": 3, "m_dim": 3, "r": 2}}),
+    (["suzukiB", "--n", "1"],
+     {"family": "suzukiB", "params": {"n": 1, "eps_choice": 0}, "order": 8,
+      "generators_given": 1,
+      "meta": {"p": 2, "q": 2, "epsilon": 2, "epsilon_choice": 0,
+               "W_order": 2, "V_order": 4, "n_dim": 1, "m_dim": 2, "r": 2,
+               "galois_dropped": True}}),
+    (["dornhoff"],
+     {"family": "dornhoff", "params": {}, "order": 512,
+      "generators_given": 2,
+      "meta": {"p": 2, "q": 8, "W_order": 8, "V_order": 64, "n_dim": 3,
+               "m_dim": 6, "r": 2}}),
+    (["sl3", "--q", "3"],
+     {"family": "sl3", "params": {"q": 3}, "order": 729,
+      "generators_given": 3,
+      "meta": {"p": 3, "W_order": 27, "V_order": 27, "n_dim": 3,
+               "m_dim": 3, "r": 3}}),
+    (["heisenberg", "--p", "3", "--m", "2", "--n", "1", "--b", "1"],
+     {"family": "heisenberg", "params": {"p": 3, "m": 2, "n": 1, "b": 1},
+      "order": 27, "generators_given": 5,
+      "meta": {"p": 3, "W_order": 3, "V_order": 9, "n_dim": 1, "m_dim": 2,
+               "r": 3}}),
+    (["gl3-tower"],
+     {"family": "gl3-tower", "params": {}, "order": 2187,
+      "generators_given": 15, "meta": {"p": 3, "q": 3}}),
+    (["extraspecial2", "--k", "1", "--eps", "+"],
+     {"family": "extraspecial2", "params": {"k": 1, "eps": "+"}, "order": 8,
+      "generators_given": 1,
+      "meta": {"p": 2, "eps": "+", "k": 1, "W_order": 2, "V_order": 4}}),
+]
+
+
+@pytest.mark.parametrize("flags,want", CONSTRUCT_PINS,
+                         ids=[f[0] for f, _ in CONSTRUCT_PINS])
+def test_construct_every_family(flags, want):
+    code, text = run_cli(["construct"] + flags + ["--json"])
+    assert code == 0
+    # byte-level: the key order of params is part of the report
+    assert text == json.dumps(want) + "\n"
+
+
+def test_parameter_errors_exit_1():
+    code, _ = run_cli(["verify-line", "2", "--p", "2"])      # no --r
+    assert code == 1
+    code, _ = run_cli(["verify-line", "6", "--q", "4"])      # even q
+    assert code == 1
+    code, _ = run_cli(["construct", "heisenberg", "--p", "3", "--m", "3",
+                       "--n", "1", "--b", "1"])               # m/b odd
+    assert code == 1
+    with pytest.raises(ValueError):
+        vs.verify_table_line(1, {"p": 2, "n": 1, "q": 3})
+    with pytest.raises(ValueError):                           # held at 1
+        vs.verify_table_line(2, {"p": 2, "r": 3, "ell": 2})
+
+
+def test_every_choice_resolves_in_the_tables():
+    verbs = next(a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(verb):
+        return [c for c in next(a for a in verbs[verb]._actions
+                                if a.dest in ("family", "line")).choices
+                if c != "all"]
+
+    for verb in ("construct", "orbits", "export-cayley"):
+        assert set(choices(verb)) - {"q8-c3c3"} == set(cons.FAMILIES), verb
+    assert [int(t) for t in choices("verify-line")] == list(range(1, 8))
+    assert all(vs.LINES[t][0] in cons.FAMILIES for t in range(1, 8))
+    assert choices("verify-4orbit") == list(vs.FOUR_ORBIT)
+    assert all(fam is None or fam in cons.FAMILIES
+               for fam, _, _ in vs.FOUR_ORBIT.values())
 
 
 def test_construct_and_cayley_roundtrip(tmp_path):

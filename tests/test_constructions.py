@@ -139,3 +139,18 @@ def test_meta_orbit_formula():
         rep = two_sided(inst)
         assert sorted(rep["report"]["lengths"]) == sorted(
             [1, w - 1, w * (v - 1)])
+
+
+def test_build_checks_params_against_the_family_schema():
+    inst, prm = cons.build("line2", {"r": "3", "p": 2})
+    assert list(prm.items()) == [("p", 2), ("r", 3), ("ell", 1), ("d", 1)]
+    assert inst.group.n == 12
+    # line 7 with n < b: F = GF(9), d = m/b = 2, F0 = GF(3)
+    inst, _ = cons.build("heisenberg", {"p": 3, "m": 4, "n": 1, "b": 2})
+    assert inst.params == {"F": (3, 2), "F0": (3, 1), "d": 2}
+    for family, params in (("line1", {"p": 2}),              # missing n
+                           ("line1", {"p": 2, "n": 1, "q": 3}),
+                           ("sl3", {"q": 12}),                # not p^k
+                           ("no-such-family", {})):
+        with pytest.raises(ValueError):
+            cons.build(family, params)

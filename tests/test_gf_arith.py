@@ -1,14 +1,22 @@
 import numpy as np
 
 from orbitforge.gf_arith import (element_of_order, field_create, frob_table,
-                                 frobenius_apply, is_prime, subfield_embed,
-                                 trace_table, trace_to_subfield)
+                                 frobenius_apply, is_prime, prime_power,
+                                 subfield_embed, trace_table,
+                                 trace_to_subfield)
 
 
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_prime(n) == (n in primes), n
+
+
+def test_prime_power_small():
+    for n in range(130):
+        want = next(((p, k) for p in range(2, n + 1) if is_prime(p)
+                     for k in range(1, 8) if p ** k == n), None)
+        assert prime_power(n) == want, n
 
 
 def test_field_axioms_random():

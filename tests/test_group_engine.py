@@ -9,6 +9,7 @@ from orbitforge import constructions as cons
 from orbitforge import group_engine as ge
 from orbitforge import orbit_machine as om
 from orbitforge import verify_suite as vs
+from orbitforge.gf_arith import prime_power
 
 
 def cyclic(n):
@@ -327,7 +328,7 @@ def test_frattini_of_non_p_group_matches_reference(build, order):
     """The lattice branch of frattini(): the intersection of the maximal
     subgroups of the reference lattice."""
     G = build()
-    assert ge._prime_power(G.n) is None
+    assert prime_power(G.n) is None
     subs = [set(H) for H in _reference_lattice(G)[:-1]]
     phi = set(range(G.n))
     for H in subs:
@@ -424,7 +425,7 @@ def test_characteristic_series_match_table_reference(build, gl3):
     assert np.array_equal(G.derived(), D)
     assert ([g.tolist() for g in G.gamma_series()] ==
             [g.tolist() for g in _table_gamma(G)])
-    pp = ge._prime_power(G.n)
+    pp = prime_power(G.n)
     if pp is not None:
         phi = G.closure(np.unique(np.concatenate([D, G.power_map(pp[0])])))
         assert np.array_equal(G.frattini(), phi)

@@ -172,13 +172,14 @@ def test_stripped_actions_are_inconclusive(monkeypatch):
     # acting set is not transitive; neither shows the claim is false
     import dataclasses
     from orbitforge.orbit_machine import AutomorphismSet
-    build = vs._build_line
+    build = cons.build
 
-    def stripped(line, params, cap):
-        inst = build(line, params, cap)
-        return dataclasses.replace(inst, acts=AutomorphismSet(inst.group, []))
+    def stripped(family, params, cap=None):
+        inst, prm = build(family, params, cap)
+        return (dataclasses.replace(inst, acts=AutomorphismSet(inst.group,
+                                                               [])), prm)
 
-    monkeypatch.setattr(vs, "_build_line", stripped)
+    monkeypatch.setattr(cons, "build", stripped)
     rep = vs.verify_table_line(3, {"n": 3, "theta": 1})
     assert rep["omega"] == {"lower": 3, "upper": 15}
     assert rep["status"] == vs.INCONCLUSIVE
