@@ -52,10 +52,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _given(args, names):
-    """The flags among names that the command line set, in that order."""
+def _given(args, names, choice):
+    """The flags among names that the command line set, in that order;
+    a set parameter flag outside names is an error that names it."""
+    stray = [k for k in args.param_flags
+             if k not in names and getattr(args, k) is not None]
+    if stray:
+        raise ValueError("%s %s does not take --%s"
+                         % (args.verb, choice, stray[0]))
     return {k: getattr(args, k) for k in names
-            if getattr(args, k, None) is not None}
+            if getattr(args, k) is not None}
 
 
 def _union(name_lists):
@@ -64,7 +70,8 @@ def _union(name_lists):
 
 def _build_instance(args):
     names = cons.family_params(args.family)
-    return cons.build(args.family, _given(args, names), _size_cap(args))
+    return cons.build(args.family, _given(args, names, args.family),
+                      _size_cap(args))
 
 
 def _add_common(sp):
@@ -77,6 +84,7 @@ def _add_common(sp):
 
 
 def _add_param_flags(sp, names):
+    sp.set_defaults(param_flags=names)
     helptext = {
         "p": "prime", "n": "layer dimension or size index",
         "r": "prime acting order", "q": "field size", "m": "top dimension",
@@ -252,6 +260,7 @@ def _do_construct(args, out):
 
 def _do_orbits(args, out):
     if args.family == "q8-c3c3":
+        _given(args, (), args.family)
         G = vs.q8_on_c3c3()
         prm = {}
         om = omega_exact(G, brute_force_aut(G), inner=False)
@@ -279,10 +288,11 @@ def _do_orbits(args, out):
 
 def _do_verify_line(args, out):
     if args.line == "all":
+        _given(args, (), "all")
         jobs = [("line", line, prm) for line, prm in vs.table_battery()]
     else:
         line = int(args.line)
-        jobs = [("line", line, _given(args, vs.line_params(line)))]
+        jobs = [("line", line, _given(args, vs.line_params(line), args.line))]
     return _emit_reports(_run_jobs(jobs, args), args.json, out)
 
 
@@ -304,18 +314,20 @@ def _do_verify_irredundant(args, out):
 
 def _do_verify_4orbit(args, out):
     if args.family == "all":
+        _given(args, (), "all")
         jobs = [("four", fam, prm) for fam, prm in vs.four_orbit_battery()]
     else:
         defaults = vs.FOUR_ORBIT[args.family][1]
-        jobs = [("four", args.family, _given(args, defaults))]
+        jobs = [("four", args.family, _given(args, defaults, args.family))]
     return _emit_reports(_run_jobs(jobs, args), args.json, out)
 
 
 def _do_hering(args, out):
     if args.kind == "all":
+        _given(args, (), "all")
         jobs = [("hering", kind, prm) for kind, prm in vs.hering_battery()]
     else:
-        prm = _given(args, vs.HERING_PARAMS[args.kind])
+        prm = _given(args, vs.HERING_PARAMS[args.kind], args.kind)
         jobs = [("hering", args.kind, prm)]
     return _emit_reports(_run_jobs(jobs, args), args.json, out)
 

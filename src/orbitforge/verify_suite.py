@@ -105,6 +105,26 @@ def _status(om, k, *, facts, pins, witnesses=()):
     return VERIFIED if all(witnesses) else INCONCLUSIVE
 
 
+def _proof_status(proofs, evidence=(), controls=()):
+    """Verdict of a claim settled by exact checks.  A proof decides the
+    claim either way: an isomorphism search run to the end.  Evidence
+    proves the claim when it holds (an explicit map, distinct center
+    orders), but its failure leaves the claim open.  A control checks
+    the checker, so its failure is an internal fault."""
+    if not all(controls):
+        raise AssertionError("a positive control failed")
+    if not all(proofs):
+        return REFUTED
+    return VERIFIED if all(evidence) else INCONCLUSIVE
+
+
+def _reject_unknown(params, names, what):
+    extra = set(params) - set(names)
+    if extra:
+        raise ValueError("unknown parameters for %s: %s"
+                         % (what, sorted(extra)))
+
+
 def _param_str(params):
     return ",".join("%s=%s" % (k, v) for k, v in params.items())
 
@@ -135,10 +155,7 @@ def verify_table_line(line, params, *, cap=None):
     if line not in LINES:
         raise ValueError("line must be 1..7")
     names = line_params(line)
-    extra = set(params) - set(names)
-    if extra:
-        raise ValueError("unknown parameters for line %d: %s"
-                         % (line, sorted(extra)))
+    _reject_unknown(params, names, "line %d" % line)
     inst, prm = cons.build(LINES[line][0], params, cap)
     params = {k: prm[k] for k in names}
     G = inst.group
@@ -328,12 +345,15 @@ def verify_gfgf_iso(q, d, e, *, cap=None):
             break
 
     oracle = "skipped-above-cap"
-    oracle_ok = True
+    searched = []   # the exhaustive search, when it ran, is the proof
     if G1.group.n <= ISO_CAP:
-        oracle_ok = find_isomorphism(G1.group, G2.group) is not None
-        oracle = "independent-search-agrees" if oracle_ok else "disagrees"
+        searched.append(find_isomorphism(G1.group, G2.group) is not None)
+        oracle = "independent-search-agrees" if searched[0] else "disagrees"
+    if bijective and hom and not all(searched):
+        raise AssertionError("explicit isomorphism passes but the search "
+                             "finds none")
 
-    status = VERIFIED if (bijective and hom and oracle_ok) else REFUTED
+    status = _proof_status(searched, evidence=[bijective and hom])
     params = {"q": q, "d": d, "e": e}
     witnesses = {
         "order": G1.group.n,
@@ -370,68 +390,33 @@ def _square_layers(G):
     Q = wint[sp["pos_in_N"][sq]]
     if Q[0] != 0:
         raise AssertionError("identity coset squares outside the identity")
+    _span_plan(Q, m, 1 << n)    # the squares generate Phi = N
     return {"m": m, "n": n, "Q": Q}
 
 
-def _gf2_install(piv, row):
-    """Online elimination step; False means the row is inconsistent."""
-    mask = row >> 1
-    while mask:
-        hi = mask.bit_length() - 1
-        cur = piv[hi]
-        if cur == 0:
-            piv[hi] = row
-            return True
-        row ^= cur
-        mask = row >> 1
-    return (row & 1) == 0
-
-
-def _gf2_rank(rows):
-    rank = 0
-    rows = list(rows)
-    for i in range(len(rows)):
-        r = rows[i]
-        if r == 0:
-            continue
-        rank += 1
-        hi = r.bit_length() - 1
-        for j in range(i + 1, len(rows)):
-            if (rows[j] >> hi) & 1:
-                rows[j] ^= r
-    return rank
-
-
-def _solve_invertible(piv, n):
-    """An invertible assignment of the n*n unknowns consistent with the
-    eliminated system, or None."""
-    nunk = n * n
-    free = [u for u in range(nunk) if piv[u] == 0]
-    if len(free) > 20:
-        raise RuntimeError("solution space too large to scan")
-    for combo in range(1 << len(free)):
-        t = 0
-        for b, u in enumerate(free):
-            if (combo >> b) & 1:
-                t |= 1 << u
-        for u in range(nunk):
-            r = piv[u]
-            if r == 0:
-                continue
-            low = (r >> 1) & ((1 << u) - 1)
-            if ((r & 1) ^ (bin(t & low).count("1") & 1)):
-                t |= 1 << u
-        rows = [(t >> (i * n)) & ((1 << n) - 1) for i in range(n)]
-        if _gf2_rank(rows) == n:
-            return rows
-    return None
+def _span_plan(Q, m, wsize):
+    """For each level k, the sources x in [2^k, 2^(k+1)) whose square
+    leaves span{Q(y) : y < x}, each with that span as an index array;
+    at level m the span must be the whole bottom layer."""
+    dom = np.zeros(1, dtype=np.int64)
+    plan = [[] for _ in range(m)]
+    for x in range(1, 1 << m):
+        if Q[x] not in dom:
+            plan[x.bit_length() - 1].append((x, dom))
+            dom = np.concatenate([dom, dom ^ Q[x]])
+    if len(dom) != wsize:
+        raise AssertionError("squares do not span the bottom layer")
+    return plan
 
 
 def special2_map_search(da, db):
     """Search for invertible linear maps (sigma on the quotient layer,
-    tau on the bottom layer) with tau . Q = Q' . sigma.  Every pruning
-    step is a necessary condition, so found=False is a proof that no
-    such pair exists; for special 2-groups that rules out any group
+    tau on the bottom layer) with tau . Q = Q' . sigma.  One node is one
+    candidate image tried for the next basis vector of sigma; a node's
+    candidates are tested together, with tau as a partial linear map on
+    the span of the squares so far (-1 elsewhere).  Every pruning step
+    is a necessary condition, so found=False is a proof that no such
+    pair exists; for special 2-groups that rules out any group
     isomorphism, which would induce one."""
     m, n = da["m"], da["n"]
     out = {"found": False, "nodes": 0, "fiber_match": False,
@@ -448,60 +433,54 @@ def special2_map_search(da, db):
         return out
     fcA = fibA[QA]
     fcB = fibB[QB]
-    size = 1 << m
-    span_img = np.zeros(size, dtype=np.int64)
-    in_img = np.zeros(size, dtype=bool)
+    plan = _span_plan(QA, m, wsize)
+    span_img = np.zeros(1 << m, dtype=np.int64)
+    in_img = np.zeros(1 << m, dtype=bool)
     in_img[0] = True
+    bits = 1 << np.arange(n)
     state = {"nodes": 0}
 
-    def rec(k, piv):
-        if k == m:
-            rows = _solve_invertible(piv, n)
-            if rows is None:
-                return False
-            tmap = np.array([sum(((bin(rows[i] & w).count("1") & 1) << i)
-                                 for i in range(n)) for w in range(wsize)],
-                            dtype=np.int64)
-            if not np.array_equal(tmap[QA], QB[span_img]):
-                raise AssertionError("solved pair fails the direct check")
-            out["found"] = True
-            out["sigma"] = span_img.copy()
-            out["tau"] = rows
-            return True
+    def credit(upto, done):
+        # the first `upto` candidates of a node count as tried, so the
+        # count and the cap's trip point are those of one-at-a-time
+        state["nodes"] += upto - done
+        if state["nodes"] > MAP_SEARCH_NODE_CAP:
+            raise RuntimeError("search node cap exceeded")
+        return upto
+
+    def rec(k, T):
         half = 1 << k
-        for c in range(1, size):
-            if in_img[c]:
-                continue
-            state["nodes"] += 1
-            if state["nodes"] > MAP_SEARCH_NODE_CAP:
-                raise RuntimeError("search node cap exceeded")
-            piv2 = piv.copy()
-            ok = True
-            for x in range(half):
-                s = int(span_img[x]) ^ c
-                src = x | half
-                if fcA[src] != fcB[s]:
-                    ok = False
-                    break
-                qa, qb = int(QA[src]), int(QB[s])
-                for i in range(n):
-                    row = ((qa << (i * n)) << 1) | ((qb >> i) & 1)
-                    if not _gf2_install(piv2, row):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            span_img[half:2 * half] = span_img[:half] ^ c
+        cand = (~in_img).nonzero()[0]
+        S = span_img[:half] ^ cand[:, None]        # sigma on x | half
+        live = (fcB[S] == fcA[half:2 * half]).all(axis=1).nonzero()[0]
+        Tc = np.repeat(T[None], len(live), axis=0)
+        SB = QB[S[live]]
+        for x, dom in plan[k]:
+            Tc[:, dom ^ QA[x]] = Tc[:, dom] ^ SB[:, x - half, None]
+        ok = (Tc[:, QA[half:2 * half]] == SB).all(axis=1)
+        if k + 1 == m:
+            ok &= (np.sort(Tc, axis=1) == np.arange(wsize)).all(axis=1)
+        done = 0
+        for j in ok.nonzero()[0]:
+            done = credit(int(live[j]) + 1, done)
+            span_img[half:2 * half] = S[live[j]]
+            if k + 1 == m:
+                tau = [int((Tc[j, bits] >> i & 1) @ bits) for i in range(n)]
+                tmap = (np.bitwise_count(np.arange(wsize)[:, None] & tau)
+                        & 1) @ bits
+                if not np.array_equal(tmap[QA], QB[span_img]):
+                    raise AssertionError("solved pair fails the direct check")
+                out.update(found=True, sigma=span_img.copy(), tau=tau)
+                return True
             fresh = span_img[half:2 * half]
             in_img[fresh] = True
-            if rec(k + 1, piv2):
+            if rec(k + 1, Tc[j]):
                 return True
             in_img[fresh] = False
+        credit(len(cand), done)
         return False
 
-    rec(0, [0] * (n * n))
+    rec(0, np.where(np.arange(wsize) > 0, -1, 0))    # tau(0) = 0 only
     out["nodes"] = state["nodes"]
     return out
 
@@ -512,6 +491,7 @@ def verify_irredundant(exhaustive=False, *, cap=None):
     order-512 pair, plus the flag-gated order-1024 pair."""
     t0 = time.perf_counter()
     checks = []
+    control = "squaring-pair-positive-control"
 
     def add(name, method, expected, observed, ok, **extra):
         row = {"name": name, "method": method, "expected": expected,
@@ -554,7 +534,7 @@ def verify_irredundant(exhaustive=False, *, cap=None):
     # engine control on a pair known to be isomorphic
     eng = special2_map_search(_square_layers(a31.group),
                               _square_layers(a32.group))
-    add("squaring-pair-positive-control", "layer-map search",
+    add(control, "layer-map search",
         "pair found", "found" if eng["found"] else "none", eng["found"],
         nodes=eng["nodes"])
 
@@ -578,7 +558,12 @@ def verify_irredundant(exhaustive=False, *, cap=None):
             not eng["found"], nodes=eng["nodes"],
             fiber_match=eng["fiber_match"])
 
-    status = VERIFIED if all(c["ok"] for c in checks) else REFUTED
+    proofs = ("generator-image search", "layer-map search")
+    status = _proof_status(
+        [c["ok"] for c in checks
+         if c["method"] in proofs and c["name"] != control],
+        evidence=[c["ok"] for c in checks if c["method"] not in proofs],
+        controls=[c["ok"] for c in checks if c["name"] == control])
     params = {"exhaustive": bool(exhaustive)}
     return _report("irredundant-catalog", "irredundant-catalog", params,
                    status, witnesses={"checks": checks},
@@ -632,6 +617,7 @@ def verify_four_orbit(family, params, *, cap=None):
     if family not in FOUR_ORBIT:
         raise ValueError("unknown 4-orbit family %r" % family)
     build_as, defaults, expect = FOUR_ORBIT[family]
+    _reject_unknown(params, defaults, family)
     params = {k: type(v)(params.get(k, v)) for k, v in defaults.items()}
     if family == "gl3-tower" and params["q"] != 3:
         raise ValueError("only q = 3 fits the construction cap")
@@ -692,6 +678,7 @@ def verify_hering(kind, params):
     t0 = time.perf_counter()
     if kind not in HERING_PARAMS:
         raise ValueError("unknown check %r" % kind)
+    _reject_unknown(params, HERING_PARAMS[kind], kind)
     missing = [k for k in HERING_PARAMS[kind] if params.get(k) is None]
     if missing:
         raise ValueError("%s needs parameter %r" % (kind, missing[0]))

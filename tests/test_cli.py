@@ -125,6 +125,34 @@ def test_parameter_errors_exit_1():
         vs.verify_table_line(2, {"p": 2, "r": 3, "ell": 2})
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["construct", "line1", "--p", "2", "--n", "1", "--q", "7"], "--q"),
+    (["export-cayley", "line1", "--p", "2", "--n", "1", "--k", "2",
+      "--out", os.devnull], "--k"),
+    (["orbits", "q8-c3c3", "--p", "3"], "--p"),
+    (["verify-line", "1", "--p", "2", "--n", "1", "--theta", "1"],
+     "--theta"),
+    (["verify-line", "all", "--p", "3"], "--p"),
+    (["verify-4orbit", "gl3-tower", "--k", "5"], "--k"),
+    (["verify-4orbit", "q8-c3c3", "--q", "3"], "--q"),
+    (["hering-check", "sp", "--d", "4", "--q", "3", "--p", "5"], "--p"),
+    (["hering-check", "all", "--m", "2"], "--m"),
+])
+def test_stray_flags_exit_1(argv, flag, capsys):
+    # a flag the chosen family, line, check or battery does not take is
+    # refused by name, not dropped
+    code, text = run_cli(argv)
+    assert code == 1 and text == ""
+    assert "does not take %s" % flag in capsys.readouterr().err
+
+
+def test_verifiers_reject_unknown_keys():
+    with pytest.raises(ValueError, match="gl3-tower: \\['k'\\]"):
+        vs.verify_four_orbit("gl3-tower", {"q": 3, "k": 5})
+    with pytest.raises(ValueError, match="sl2-5: \\['q'\\]"):
+        vs.verify_hering("sl2-5", {"p": 11, "q": 3})
+
+
 def test_every_choice_resolves_in_the_tables():
     verbs = next(a for a in cli.build_parser()._actions
                  if isinstance(a, argparse._SubParsersAction)).choices

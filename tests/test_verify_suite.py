@@ -202,3 +202,276 @@ def test_status_rule():
     # a witness of the supplied automorphisms never refutes
     assert st(om(3, 3), 3, facts=[True], pins=[True],
               witnesses=[False]) == vs.INCONCLUSIVE
+
+
+# ------------------------------------------- squaring-map search pins
+# found, nodes and the cap's trip point are pinned from the
+# one-candidate-at-a-time search that preceded the batched one
+
+def _layers(*groups):
+    return tuple(vs._square_layers(inst.group) for inst in groups)
+
+
+def _reference_map_search(da, db):
+    """The search one candidate at a time, with tau found by online
+    GF(2) elimination over its n*n unknowns: the loop the batched
+    search replaced, kept as its reference."""
+    m, n, QA, QB = da["m"], da["n"], da["Q"], db["Q"]
+    fibA = np.bincount(QA, minlength=1 << n)
+    fibB = np.bincount(QB, minlength=1 << n)
+    if sorted(fibA) != sorted(fibB):
+        return {"found": False, "nodes": 0}
+    span_img, in_img = [0] * (1 << m), {0}
+    state = {"nodes": 0}
+
+    def install(piv, row):           # False: the row is inconsistent
+        while row >> 1:
+            hi = (row >> 1).bit_length() - 1
+            if piv[hi] == 0:
+                piv[hi] = row
+                return True
+            row ^= piv[hi]
+        return row == 0
+
+    def invertible_solution(piv):
+        free = [u for u in range(n * n) if piv[u] == 0]
+        for combo in range(1 << len(free)):
+            t = sum(1 << u for b, u in enumerate(free) if combo >> b & 1)
+            for u in range(n * n):
+                r = piv[u]
+                if r and (r & 1) ^ bin(t & r >> 1 & ((1 << u) - 1)).count(
+                        "1") & 1:
+                    t |= 1 << u
+            rows = [t >> (i * n) & ((1 << n) - 1) for i in range(n)]
+            img = {sum((bin(rows[i] & w).count("1") & 1) << i
+                       for i in range(n)) for w in range(1 << n)}
+            if len(img) == 1 << n:
+                return rows
+        return None
+
+    def rec(k, piv):
+        if k == m:
+            return invertible_solution(piv)
+        half = 1 << k
+        for c in range(1, 1 << m):
+            if c in in_img:
+                continue
+            state["nodes"] += 1
+            piv2 = list(piv)
+            ok = all(fibA[QA[x | half]] == fibB[QB[span_img[x] ^ c]]
+                     and all(install(piv2, (int(QA[x | half]) << (i * n)
+                                            << 1)
+                                     | (int(QB[span_img[x] ^ c]) >> i & 1))
+                             for i in range(n))
+                     for x in range(half))
+            if not ok:
+                continue
+            span_img[half:2 * half] = [s ^ c for s in span_img[:half]]
+            in_img.update(span_img[half:2 * half])
+            found = rec(k + 1, piv2)
+            if found is not None:
+                return found
+            in_img.difference_update(span_img[half:2 * half])
+        return None
+
+    tau = rec(0, [0] * (n * n))
+    out = {"found": tau is not None, "nodes": state["nodes"]}
+    if tau is not None:
+        out.update(sigma=list(span_img), tau=tau)
+    return out
+
+
+def _span(vectors):
+    span = {0}
+    for v in vectors:
+        span |= {s ^ int(v) for s in span}
+    return span
+
+
+def _random_layers(rng, m, n):
+    """A random quadratic map GF(2)^m -> GF(2)^n."""
+    coef = rng.integers(0, 1 << n, size=(m, m))
+    x = np.arange(1 << m)
+    Q = np.zeros(1 << m, dtype=np.int64)
+    for i in range(m):
+        for j in range(i, m):
+            Q ^= np.where((x >> i & 1) & (x >> j & 1), coef[i, j], 0)
+    return {"m": m, "n": n, "Q": Q}
+
+
+def test_map_search_matches_the_reference():
+    rng = np.random.default_rng(11)
+    kinds = {"found": 0, "none": 0, "fibers differ": 0}
+    while min(kinds.values()) < 8:
+        m, n = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        da = _random_layers(rng, m, n)
+        if len(_span(da["Q"])) < 1 << n:
+            continue                 # squares of a 2-group span Phi
+        db = _random_layers(rng, m, n)
+        if rng.integers(2):          # a transported copy, maybe tampered
+            basis = []
+            while len(basis) < m:
+                c = int(rng.integers(1, 1 << m))
+                if c not in _span(basis):
+                    basis.append(c)
+            x = np.arange(1 << m)
+            sigma = np.zeros(1 << m, dtype=np.int64)
+            for i, b in enumerate(basis):
+                sigma ^= np.where(x >> i & 1, b, 0)
+            db["Q"][sigma] = da["Q"]
+            if rng.integers(2):
+                db["Q"][rng.integers(1, 1 << m)] ^= rng.integers(1, 1 << n)
+        want = _reference_map_search(da, db)
+        got = vs.special2_map_search(da, db)
+        assert (got["found"], got["nodes"]) == (want["found"], want["nodes"])
+        if want["found"]:
+            assert got["sigma"].tolist() == want["sigma"]
+            assert got["tau"] == want["tau"]
+        kinds["found" if want["found"] else
+              "none" if got["fiber_match"] else "fibers differ"] += 1
+
+
+@pytest.fixture(scope="module")
+def pair_512():
+    return _layers(cons.suzuki_B(3), cons.dornhoff_P())
+
+
+@pytest.fixture(scope="module")
+def pair_1024():
+    return _layers(cons.suzuki_A(5, 1), cons.suzuki_A(5, 2))
+
+
+@pytest.fixture(scope="module")
+def pair_eps_64():
+    return _layers(cons.suzuki_B(2, 0), cons.suzuki_B(2, 1))
+
+
+def _assert_transports(da, db, out):
+    sig, tau = out["sigma"], out["tau"]
+    n = da["n"]
+    assert sorted(sig.tolist()) == list(range(1 << da["m"]))
+    tmap = np.array(
+        [sum(((bin(tau[i] & w).count("1") & 1) << i) for i in range(n))
+         for w in range(1 << n)], dtype=np.int64)
+    assert sorted(tmap.tolist()) == list(range(1 << n))
+    assert np.array_equal(tmap[da["Q"]], db["Q"][sig])
+
+
+def test_map_search_1024_pair(pair_1024):
+    out = vs.special2_map_search(*pair_1024)
+    assert out["fiber_match"] and not out["found"]
+    assert out["nodes"] == 51_801
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["suzuki_B(3)", "dornhoff_P"])
+def test_map_search_self_pairs(pair_512, side):
+    da = pair_512[side]
+    out = vs.special2_map_search(da, da)
+    assert out["found"] and out["nodes"] == 6
+    _assert_transports(da, da, out)
+
+
+def test_map_search_epsilon_pair(pair_eps_64):
+    out = vs.special2_map_search(*pair_eps_64)
+    assert out["found"] and out["nodes"] == 4
+    _assert_transports(*pair_eps_64, out)
+
+
+def test_map_search_needs_an_invertible_tau():
+    # hand-made layers: Q_A hits a basis of GF(2)^3, Q_B only a plane,
+    # so every tau with tau . Q_A = Q_B . sigma is singular
+    da = {"m": 2, "n": 3, "Q": np.array([0, 1, 2, 4])}
+    db = {"m": 2, "n": 3, "Q": np.array([0, 1, 2, 3])}
+    out = vs.special2_map_search(da, db)
+    assert out["fiber_match"] and not out["found"]
+    assert out["nodes"] == 9
+
+
+@pytest.mark.parametrize("cap,raises", [(269_576, True), (269_577, False)])
+def test_map_search_node_cap_trips_where_it_did(pair_512, monkeypatch,
+                                                cap, raises):
+    monkeypatch.setattr(vs, "MAP_SEARCH_NODE_CAP", cap)
+    if raises:
+        with pytest.raises(RuntimeError, match="node cap"):
+            vs.special2_map_search(*pair_512)
+    else:
+        assert vs.special2_map_search(*pair_512)["nodes"] == cap
+
+
+# ---------------------------------------------- refuted needs a proof
+
+def _break_explicit_map(monkeypatch):
+    real = vs._symplectic_basis
+
+    def rescaled(F, d, form):
+        # b_0 -> -b_0: still a basis, no longer symplectic
+        B = real(F, d, form).copy()
+        B[0] = vs._vec_scale(F, B[0], int(F.neg[1]))
+        return B
+
+    monkeypatch.setattr(vs, "_symplectic_basis", rescaled)
+
+
+def test_gfgf_broken_map_is_inconclusive(monkeypatch):
+    _break_explicit_map(monkeypatch)
+    rep = vs.verify_gfgf_iso(3, 2, 1)
+    assert rep["claim_id"] == "gfgf-iso:q=3,d=2,e=1"
+    assert not rep["witnesses"]["homomorphism"]
+    assert rep["witnesses"]["oracle"] == "independent-search-agrees"
+    assert rep["status"] == vs.INCONCLUSIVE
+
+
+def test_gfgf_broken_map_without_search_is_inconclusive(monkeypatch):
+    _break_explicit_map(monkeypatch)
+    monkeypatch.setattr(vs, "ISO_CAP", 8)
+    rep = vs.verify_gfgf_iso(3, 2, 1)
+    assert rep["witnesses"]["oracle"] == "skipped-above-cap"
+    assert rep["status"] == vs.INCONCLUSIVE
+
+
+def test_gfgf_refuted_only_by_the_search(monkeypatch):
+    _break_explicit_map(monkeypatch)
+    monkeypatch.setattr(vs, "find_isomorphism", lambda G, H: None)
+    assert vs.verify_gfgf_iso(3, 2, 1)["status"] == vs.REFUTED
+
+
+def test_gfgf_map_against_search_is_internal(monkeypatch):
+    monkeypatch.setattr(vs, "find_isomorphism", lambda G, H: None)
+    with pytest.raises(AssertionError, match="search finds none"):
+        vs.verify_gfgf_iso(3, 2, 1)
+
+
+def _failed(rep):
+    return [c["name"] for c in rep["witnesses"]["checks"] if not c["ok"]]
+
+
+def test_irredundant_failed_proof_refutes(monkeypatch):
+    monkeypatch.setattr(vs, "find_isomorphism", lambda G, H: None)
+    rep = vs.verify_irredundant()
+    assert _failed(rep) == ["twist-vs-inverse-twist-64",
+                            "epsilon-independence-64"]
+    assert rep["status"] == vs.REFUTED
+
+
+def test_irredundant_failed_evidence_is_inconclusive(monkeypatch):
+    # line 1 built as line 4's group: the center orders coincide, which
+    # does not make the listed groups isomorphic
+    monkeypatch.setattr(cons, "line1_abelian",
+                        lambda p, n, cap=None: cons.suzuki_B(2, 0, cap=cap))
+    rep = vs.verify_irredundant()
+    assert _failed(rep) == ["order-64-center-separation"]
+    assert rep["status"] == vs.INCONCLUSIVE
+
+
+def test_irredundant_failed_control_is_internal(monkeypatch):
+    search = vs.special2_map_search
+
+    def blind_on_the_control(da, db):
+        out = search(da, db)
+        if da["m"] == 3:                    # the order-64 control pair
+            out["found"] = False
+        return out
+
+    monkeypatch.setattr(vs, "special2_map_search", blind_on_the_control)
+    with pytest.raises(AssertionError, match="control"):
+        vs.verify_irredundant()
