@@ -3,13 +3,11 @@ orbits, built as explicit Cayley tables, plus the machinery to verify
 their orbit structure."""
 
 from .gf_arith import (FiniteField, element_of_order, field_create,
-                       frob_table, frobenius_apply, is_prime, subfield_embed,
-                       trace_table, trace_to_subfield)
-from .linalg_mod import (identity_mat, mat_det, mat_inv, mat_mul, mat_vec,
-                         nullspace_basis, sp_lambda2_submodules,
-                         sp_multiplier, standard_symplectic,
-                         symplectic_transvection_gens, vec_batch_apply,
-                         wedge_power_matrix)
+                       frob_table, is_prime, subfield_embed, trace_table)
+from .linalg_mod import (identity_mat, mat_det, mat_inv, nullspace_basis,
+                         sp_lambda2_submodules, sp_multiplier,
+                         standard_symplectic, symplectic_transvection_gens,
+                         vec_batch_apply, wedge_power_matrix)
 from .group_engine import (CAYLEY_MAGIC, FiniteGroup, automorphism_group,
                            characteristic_core, export_cayley,
                            find_isomorphism, group_from_oracle,
@@ -34,10 +32,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FiniteField", "element_of_order", "field_create", "frob_table",
-    "frobenius_apply", "is_prime", "subfield_embed", "trace_table",
-    "trace_to_subfield",
-    "identity_mat", "mat_det", "mat_inv", "mat_mul", "mat_vec",
-    "nullspace_basis", "sp_lambda2_submodules", "sp_multiplier",
+    "is_prime", "subfield_embed", "trace_table",
+    "identity_mat", "mat_det", "mat_inv", "nullspace_basis",
+    "sp_lambda2_submodules", "sp_multiplier",
     "standard_symplectic", "symplectic_transvection_gens", "vec_batch_apply",
     "wedge_power_matrix",
     "CAYLEY_MAGIC", "FiniteGroup", "automorphism_group",

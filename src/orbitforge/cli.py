@@ -21,27 +21,6 @@ REPORT_KEYS = ("claim_id", "anchor", "params", "status", "omega",
                "induced", "witnesses", "wall_ms")
 
 
-def report_schema():
-    """Field-by-field description of the claim report, in emission
-    order."""
-    return {
-        "claim_id": "stable identifier: battery name plus parameters",
-        "anchor": "which catalog statement the claim instantiates",
-        "params": "parameter map used for the construction",
-        "status": "one of verified | refuted | inconclusive",
-        "omega": "orbit-count bounds {lower, upper, exact?}; exact "
-                 "present exactly when the bounds meet",
-        "orbit_lengths": "orbit sizes, ascending then by representative",
-        "orbit_orders": "element order of each orbit, same row order",
-        "subgroup_orders": "{Z, Gprime, Phi, N}; null where a cap "
-                           "blocked the computation or not applicable",
-        "induced": "{A_order, B_order, A_transitive, B_transitive} "
-                   "for the quotient/bottom layer actions",
-        "witnesses": "claim-specific evidence; omitted when empty",
-        "wall_ms": "wall-clock milliseconds for this claim",
-    }
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the contract here reserves 2 for
     refuted claims, so downgrade usage errors to exit 1."""

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg_mod as lm
-from .gf_arith import (element_of_order, field_create, frob_table, is_prime,
-                       prime_power, subfield_embed, trace_table)
+from .gf_arith import (TABLE_CAP, element_of_order, field_create, frob_table,
+                       is_prime, prime_power, subfield_embed, trace_table)
 from .group_engine import FiniteGroup
 from .orbit_machine import AutomorphismSet
 
@@ -62,11 +62,16 @@ class _Coder:
         return out
 
 
-def _check_cap(n, cap=None):
-    """Refuse a group of order n above cap (SIZE_CAP when None)."""
+def _check_cap(n, cap=None, *fields):
+    """Refuse a group of order n above cap (SIZE_CAP when None), and any
+    of fields that has no add/mul tables for the table formulas."""
     cap = SIZE_CAP if cap is None else cap
     if n > cap:
         raise ValueError(f"group order {n} exceeds cap {cap}")
+    for F in fields:
+        if F.add is None:
+            raise ValueError(f"field order {F.q} exceeds TABLE_CAP "
+                             f"{TABLE_CAP}")
 
 
 def _inverse_embedding(F_small, F_big):
@@ -93,27 +98,25 @@ def _instance(tag, params, coder, table, gen_perms, meta):
 
 # -------------------------------------------------------- line 1: abelian
 
-def _gl_generator_mats(p, n):
-    """Generators of GL_n(p): n-cycle, a transvection, and a primitive
-    scalar in the first coordinate (the last two coincide with nothing
-    for n = 1, where the primitive scalar alone generates)."""
-    F = field_create(p, 1)
+def _glq_generator_mats(F, d):
+    """Generators of GL_d(q): a primitive scalar in the first coordinate,
+    the d-cycle and a transvection (the identity alone for GL_1(2))."""
     mats = []
-    if n == 1:
-        g = element_of_order(F, p - 1) if p > 2 else 1
-        mats.append(np.array([[g]], dtype=np.int64))
-        return mats
-    cyc = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        cyc[i, (i + 1) % n] = 1
-    mats.append(cyc)
-    tv = np.eye(n, dtype=np.int64)
-    tv[0, 1] = 1
-    mats.append(tv)
-    if p > 2:
-        sc = np.eye(n, dtype=np.int64)
-        sc[0, 0] = element_of_order(F, p - 1)
+    xi = element_of_order(F, F.q - 1) if F.q > 2 else 1
+    sc = lm.identity_mat(d)
+    sc[0, 0] = xi
+    if F.q > 2:
         mats.append(sc)
+    if d >= 2:
+        cyc = np.zeros((d, d), dtype=np.int64)
+        for i in range(d):
+            cyc[i, (i + 1) % d] = 1
+        mats.append(cyc)
+        tv = lm.identity_mat(d)
+        tv[0, 1] = 1
+        mats.append(tv)
+    if not mats:
+        mats.append(lm.identity_mat(d))
     return mats
 
 
@@ -128,7 +131,7 @@ def line1_abelian(p, n, *, cap=None):
     cols = [(D[:, t][:, None] + D[:, t][None, :]) % psq for t in range(n)]
     table = coder.encode_cols(cols)
     perms = []
-    for M in _gl_generator_mats(p, n):
+    for M in _glq_generator_mats(field_create(p, 1), n):
         img = (D @ M.T) % psq  # row vector image with integer matrix, mod p^2
         perms.append(coder.encode_cols([img[:, t] for t in range(n)]))
     meta = {"p": p, "n_dim": n, "r": p, "m_dim": n,
@@ -159,7 +162,7 @@ def line2_frobenius(p, r, ell, d, *, cap=None):
         raise ValueError("p is not a primitive root for the required modulus")
     F = field_create(p, phi)
     q = F.q
-    _check_cap(e * q ** d, cap)
+    _check_cap(e * q ** d, cap, F)
     lam = element_of_order(F, e)
     lampow = np.empty(e, dtype=np.int64)
     lampow[0] = 1
@@ -190,26 +193,6 @@ def line2_frobenius(p, r, ell, d, *, cap=None):
                      coder, table, perms, meta)
 
 
-def _glq_generator_mats(F, d):
-    mats = []
-    xi = element_of_order(F, F.q - 1) if F.q > 2 else 1
-    sc = lm.identity_mat(d)
-    sc[0, 0] = xi
-    if F.q > 2:
-        mats.append(sc)
-    if d >= 2:
-        cyc = np.zeros((d, d), dtype=np.int64)
-        for i in range(d):
-            cyc[i, (i + 1) % d] = 1
-        mats.append(cyc)
-        tv = lm.identity_mat(d)
-        tv[0, 1] = 1
-        mats.append(tv)
-    if not mats:
-        mats.append(lm.identity_mat(d))
-    return mats
-
-
 # ------------------------------------------------- lines 3-5: 2-groups
 
 def suzuki_A(n, i, *, cap=None):
@@ -219,7 +202,7 @@ def suzuki_A(n, i, *, cap=None):
         raise ValueError("twist order must be odd and > 1")
     F = field_create(2, n)
     q = F.q
-    _check_cap(q * q, cap)
+    _check_cap(q * q, cap, F)
     th = frob_table(F, i)
     coder = _Coder([q, q])
     D = coder.digits
@@ -252,7 +235,7 @@ def suzuki_B(n, eps_choice=0, *, cap=None):
     F2 = field_create(2, 2 * n)
     F = field_create(2, n)
     q = F.q
-    _check_cap(q ** 3, cap)
+    _check_cap(q ** 3, cap, F, F2)
     order = q + 1
     choices = [x for x in range(1, F2.q) if F2.elem_order(x) == order]
     if eps_choice >= len(choices):
@@ -330,7 +313,7 @@ def heisenberg_trace(F, F0, d, *, cap=None):
         raise ValueError("odd characteristic required")
     if d % 2 != 0 or d < 2:
         raise ValueError("d must be even and >= 2")
-    _check_cap(F.q ** d * F0.q, cap)
+    _check_cap(F.q ** d * F0.q, cap, F, F0)
     tr = trace_table(F, F0.k)
     coder = _Coder([F.q] * d + [F0.q])
     D = coder.digits
@@ -382,7 +365,7 @@ def sl3_pair(F, *, cap=None):
     F = field_create(*F) if isinstance(F, tuple) else F
     if F.p == 2:
         raise ValueError("odd q required")
-    _check_cap(F.q ** 6, cap)
+    _check_cap(F.q ** 6, cap, F)
     coder = _Coder([F.q] * 6)
     D = coder.digits
     cols = []

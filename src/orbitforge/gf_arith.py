@@ -301,11 +301,6 @@ def field_create(p, k):
     return _field_cache[key]
 
 
-def frobenius_apply(F, x, i):
-    """x^(p^i); exponent i taken mod k, so i = 0 is the identity."""
-    return F.pow_elem(x, F.p ** (i % F.k))
-
-
 def element_of_order(F, n):
     """Least element (by index) of multiplicative order exactly n."""
     if n < 1 or (F.q - 1) % n != 0:
@@ -347,21 +342,6 @@ def subfield_embed(F_small, F_big):
     return emb
 
 
-def trace_to_subfield(F, x, n):
-    """Tr from F = GF(p^k) down to GF(p^n), n | k, returned as an index in
-    the canonical field_create(p, n)."""
-    if F.k % n != 0:
-        raise ValueError("%d does not divide %d" % (n, F.k))
-    acc = 0
-    for j in range(F.k // n):
-        acc = F.add_elems(acc, frobenius_apply(F, x, n * j))
-    F_sub = field_create(F.p, n)
-    emb = _embedding_cached(F_sub, F)
-    hits = np.nonzero(emb == acc)[0]
-    assert hits.size == 1, "trace value must lie in the subfield"
-    return int(hits[0])
-
-
 _embed_cache = {}
 
 
@@ -373,7 +353,8 @@ def _embedding_cached(F_small, F_big):
 
 
 def trace_table(F, n):
-    """Vector of trace_to_subfield over all of F (indices in GF(p^n))."""
+    """Tr from F = GF(p^k) down to GF(p^n), n | k, at every element of F,
+    as indices in the canonical field_create(p, n)."""
     if F.k % n != 0:
         raise ValueError("%d does not divide %d" % (n, F.k))
     F_sub = field_create(F.p, n)

@@ -568,8 +568,9 @@ def find_isomorphism(G, H):
     if not len(found):
         return None
     phi = found[0]
-    assert hom_on_generators(G, H, phi)[0]
-    assert np.array_equal(np.sort(phi), np.arange(G.n))
+    if not (hom_on_generators(G, H, phi)[0] and
+            np.array_equal(np.sort(phi), np.arange(G.n))):
+        raise AssertionError("search hit is not an isomorphism")
     return phi
 
 

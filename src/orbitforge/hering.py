@@ -86,7 +86,7 @@ def gammaL1_gens(p, m):
         order = 1
         M = mult.copy()
         while not np.array_equal(M, lm.identity_mat(m)):
-            M = lm.mat_mul(Fp, M, mult)
+            M = lm.vec_batch_apply(Fp, M, mult)
             order += 1
         if order != F.q - 1:
             raise AssertionError("Singer generator has wrong order")
@@ -105,10 +105,10 @@ def sp_gens(d, q):
     F = field_create(*pk)
     if F.q ** d > VECTOR_CAP:
         raise ValueError("vector space exceeds cap")
-    form = lm.standard_symplectic(F, d)
-    mats = lm.symplectic_transvection_gens(F, d, form)
+    gram = lm.standard_symplectic(F, d)
+    mats = lm.symplectic_transvection_gens(F, d, gram)
     for M in mats:
-        if lm.sp_multiplier(F, form, M) != 1:
+        if lm.sp_multiplier(F, gram, M) != 1:
             raise AssertionError("transvection fails the form check")
     return MatrixGroupGens(pk, d, mats, "sp", {"d": d, "q": q})
 

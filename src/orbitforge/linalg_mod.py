@@ -1,14 +1,16 @@
 """Vectors, matrices, and forms over finite fields.
 
 Matrices are numpy (d, d) arrays of field element indices and act on row
-vectors: v -> v @ g in field arithmetic.  Wedge squares use the basis
-e_i^e_j, i < j, in lexicographic order, except d = 3, k = 2 where the
-cyclic basis (e2^e3, e3^e1, e1^e2) is used so that g^g = det(g) g^{-T}
-holds entrywise.
+vectors: v -> v @ g in field arithmetic.  There is one product,
+vec_batch_apply, and one Gauss-Jordan reduction, _row_reduce, from which
+mat_det, mat_inv and nullspace_basis all read.  A bilinear form is its
+Gram matrix G, f(u, v) = u G v^T, so forms are evaluated by products as
+well.  Wedge squares use the basis e_i^e_j, i < j, in lexicographic
+order, except d = 3, k = 2 where the cyclic basis (e2^e3, e3^e1, e1^e2)
+is used so that g^g = det(g) g^{-T} holds entrywise.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,141 +23,77 @@ def identity_mat(d):
     return np.eye(d, dtype=np.int64)
 
 
-def mat_mul(F, A, B):
-    d = A.shape[0]
-    C = np.zeros((d, B.shape[1]), dtype=np.int64)
-    for k in range(B.shape[0]):
-        C = F.add[C, F.mul[A[:, k][:, None], B[k, :][None, :]]]
-    return C
-
-
-def mat_vec(F, v, M):
-    """Row vector image v @ M."""
-    out = np.zeros(M.shape[1], dtype=np.int64)
-    for i in range(len(v)):
-        out = F.add[out, F.mul[v[i], M[i]]]
-    return out
-
-
 def vec_batch_apply(F, V, M):
-    """Apply M to each row of V (shape (m, d))."""
-    out = np.zeros((V.shape[0], M.shape[1]), dtype=np.int64)
+    """Each row of V (shape (m, d), or a single row of shape (d,)) times
+    M; a matrix product when V is a matrix."""
+    V = np.asarray(V, dtype=np.int64)
+    out = np.zeros(V.shape[:-1] + (M.shape[1],), dtype=np.int64)
     for i in range(M.shape[0]):
-        out = F.add[out, F.mul[V[:, i][:, None], M[i][None, :]]]
+        out = F.add[out, F.mul[V[..., i, None], M[i]]]
     return out
+
+
+def _row_reduce(F, M):
+    """Gauss-Jordan elimination: (R, pivots, det) with R the reduced row
+    echelon form of M, pivots its pivot columns, and det the determinant
+    of M when M is square (0 when it is singular or not square)."""
+    R = np.array(M, dtype=np.int64)
+    rows, cols = R.shape
+    pivots, det = [], 1
+    for col in range(cols):
+        r = len(pivots)
+        nz = np.flatnonzero(R[r:, col])
+        if not nz.size:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            R[[r, piv]] = R[[piv, r]]
+            det = F.neg_elem(det)
+        det = F.mul_elems(det, int(R[r, col]))
+        R[r] = F.mul[F.inv_elem(int(R[r, col])), R[r]]
+        c = R[:, col].copy()
+        c[r] = 0
+        R = F.add[R, F.neg[F.mul[c[:, None], R[r]]]]
+        pivots.append(col)
+    return R, pivots, det if len(pivots) == rows == cols else 0
 
 
 def mat_det(F, M):
-    A = M.copy()
-    d = A.shape[0]
-    det = 1
-    for col in range(d):
-        piv = None
-        for r in range(col, d):
-            if A[r, col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            det = F.neg_elem(det)
-        det = F.mul_elems(det, int(A[col, col]))
-        inv_p = F.inv_elem(int(A[col, col]))
-        for r in range(col + 1, d):
-            if A[r, col] != 0:
-                c = F.mul_elems(int(A[r, col]), inv_p)
-                A[r] = F.add[A[r], F.neg[F.mul[c, A[col]]]]
-    return det
+    return _row_reduce(F, M)[2]
 
 
 def mat_inv(F, M):
     d = M.shape[0]
-    A = M.copy()
-    I = identity_mat(d)
-    for col in range(d):
-        piv = None
-        for r in range(col, d):
-            if A[r, col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            I[[col, piv]] = I[[piv, col]]
-        inv_p = F.inv_elem(int(A[col, col]))
-        A[col] = F.mul[inv_p, A[col]]
-        I[col] = F.mul[inv_p, I[col]]
-        for r in range(d):
-            if r != col and A[r, col] != 0:
-                c = int(A[r, col])
-                A[r] = F.add[A[r], F.neg[F.mul[c, A[col]]]]
-                I[r] = F.add[I[r], F.neg[F.mul[c, I[col]]]]
-    return I
+    R, pivots, _ = _row_reduce(F, np.hstack([M, identity_mat(d)]))
+    if pivots != list(range(d)):
+        raise ValueError("singular matrix")
+    return R[:, d:]
 
 
 def nullspace_basis(F, M):
-    """Rows spanning {v : v @ M = 0}. Gaussian elimination on M^T."""
-    A = M.T.copy()
-    rows, cols = A.shape
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if A[r, col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        A[[rank, piv]] = A[[piv, rank]]
-        inv_p = F.inv_elem(int(A[rank, col]))
-        A[rank] = F.mul[inv_p, A[rank]]
-        for r in range(rows):
-            if r != rank and A[r, col] != 0:
-                c = int(A[r, col])
-                A[r] = F.add[A[r], F.neg[F.mul[c, A[rank]]]]
-        pivots.append(col)
-        rank += 1
+    """Rows spanning {v : v @ M = 0}, one per free column of the reduced
+    echelon form of M^T."""
+    R, pivots, _ = _row_reduce(F, M.T)
+    cols = R.shape[1]
     free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg_elem(int(A[r, fc]))
-        basis.append(v)
-    return np.array(basis, dtype=np.int64).reshape(len(basis), cols)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = F.neg[R[:len(pivots), free].T]
+    return basis
 
 
 # ------------------------------------------------------------------- forms
 
-@dataclass(frozen=True)
-class BilinearForm:
-    field: object
-    gram: np.ndarray
-    alternating: bool
-    non_degenerate: bool
-
-
 def standard_symplectic(F, d):
+    """Gram matrix of the standard alternating form: f(e_2i, e_2i+1) = 1
+    and f(e_2i+1, e_2i) = -1, all other basis pairs 0."""
     if d % 2 != 0 or d < 2:
         raise ValueError("d must be even and >= 2")
     gram = np.zeros((d, d), dtype=np.int64)
-    for i in range(0, d, 2):
-        gram[i, i + 1] = 1
-        gram[i + 1, i] = F.neg_elem(1)
-    return BilinearForm(F, gram, alternating=True, non_degenerate=True)
-
-
-def form_eval(form, u, v):
-    F = form.field
-    w = mat_vec(F, np.asarray(u, dtype=np.int64), form.gram)
-    acc = 0
-    for i in range(len(v)):
-        acc = F.add_elems(acc, F.mul_elems(int(w[i]), int(v[i])))
-    return acc
+    even = np.arange(0, d, 2)
+    gram[even, even + 1] = 1
+    gram[even + 1, even] = F.neg_elem(1)
+    return gram
 
 
 # ------------------------------------------------------------------- wedges
@@ -181,78 +119,53 @@ def wedge_power_matrix(F, g, k):
     d = g.shape[0]
     if k > d:
         raise ValueError("k must be <= d")
-    if mat_det(F, g) == 0:
+    det = mat_det(F, g)
+    if det == 0:
         raise ValueError("singular matrix")
     if k == d:
-        return np.array([[mat_det(F, g)]], dtype=np.int64)
+        return np.array([[det]], dtype=np.int64)
     if k != 2:
         raise ValueError("only k = 2 (or k = d) wedge powers are supported")
-    basis = wedge_basis(d, 2)
-    M = np.zeros((len(basis), len(basis)), dtype=np.int64)
-    for r, (i, j) in enumerate(basis):
-        for s, (a, b) in enumerate(basis):
-            t1 = F.mul_elems(int(g[i, a]), int(g[j, b]))
-            t2 = F.mul_elems(int(g[i, b]), int(g[j, a]))
-            M[r, s] = F.add_elems(t1, F.neg_elem(t2))
-    return M
+    # entry (r, s) is the 2x2 minor of g on rows basis[r], columns basis[s]
+    i, j = np.array(wedge_basis(d, 2)).T
+    return F.add[F.mul[g[np.ix_(i, i)], g[np.ix_(j, j)]],
+                 F.neg[F.mul[g[np.ix_(i, j)], g[np.ix_(j, i)]]]]
 
 
 # --------------------------------------------- Sp generators and submodules
 
-def symplectic_transvection_gens(F, d, form=None):
+def symplectic_transvection_gens(F, d, gram=None):
     """Transvections x -> x + lambda f(x, v) v, for v over all projective
     directions and lambda over a GF(p)-basis of F.  Basis directions alone
     generate a proper subgroup for d >= 4 (they never mix hyperbolic
     planes), hence the full sweep."""
-    if form is None:
-        form = standard_symplectic(F, d)
+    if gram is None:
+        gram = standard_symplectic(F, d)
+    eye = identity_mat(d)
     gens = []
-    seen_dirs = set()
     for flat in itertools.product(range(F.q), repeat=d):
         v = np.array(flat, dtype=np.int64)
-        if not v.any():
-            continue
+        nz = np.flatnonzero(v)
         # canonical projective representative: first nonzero coordinate = 1
-        nz = int(np.nonzero(v)[0][0])
-        if v[nz] != 1:
+        if not nz.size or v[nz[0]] != 1:
             continue
-        key = tuple(v.tolist())
-        if key in seen_dirs:
-            continue
-        seen_dirs.add(key)
+        fv = vec_batch_apply(F, gram, v[:, None])[:, 0]   # f(e_i, v)
         for s in range(F.k):
-            lam = F.p ** s  # t^s, a GF(p)-basis element of F
-            T = identity_mat(d)
-            fv = np.array([form_eval(form, identity_mat(d)[i], v)
-                           for i in range(d)], dtype=np.int64)
-            for i in range(d):
-                coef = F.mul_elems(lam, int(fv[i]))
-                T[i] = F.add[T[i], F.mul[coef, v]]
-            gens.append(T)
+            coef = F.mul[F.p ** s, fv]   # t^s, a GF(p)-basis element of F
+            gens.append(F.add[eye, F.mul[coef[:, None], v]])
     return gens
 
 
-def sp_multiplier(F, form, g):
-    """delta with f(ug, vg) = delta f(u, v) on all basis pairs; None if
-    the form is not preserved up to a single scalar."""
-    d = form.gram.shape[0]
-    E = identity_mat(d)
-    images = [mat_vec(F, E[i], g) for i in range(d)]
-    delta = None
-    pairs = []
-    for i in range(d):
-        for j in range(d):
-            lhs = form_eval(form, images[i], images[j])
-            rhs = form_eval(form, E[i], E[j])
-            pairs.append((lhs, rhs))
-            if rhs != 0 and delta is None:
-                delta = F.mul_elems(lhs, F.inv_elem(rhs))
-    if delta is None:
+def sp_multiplier(F, gram, g):
+    """delta with g G g^T = delta G for the Gram matrix G; None if the
+    form is not preserved up to a single scalar."""
+    moved = vec_batch_apply(F, vec_batch_apply(F, g, gram), g.T)
+    nz = np.flatnonzero(gram)
+    if not nz.size:
         return None
-    for lhs, rhs in pairs:
-        if lhs != F.mul_elems(delta, rhs):
-            return None
-    return delta
+    delta = F.mul_elems(int(moved.flat[nz[0]]),
+                        F.inv_elem(int(gram.flat[nz[0]])))
+    return delta if np.array_equal(moved, F.mul[delta, gram]) else None
 
 
 def sp_lambda2_submodules(ell, q):
@@ -265,52 +178,28 @@ def sp_lambda2_submodules(ell, q):
     p = pk[0]
     F = field_create(*pk)
     d = 2 * ell
-    form = standard_symplectic(F, d)
-    basis = wedge_basis(d, 2)
-    omega = np.zeros(len(basis), dtype=np.int64)
-    for r, (i, j) in enumerate(basis):
-        if j == i + 1 and i % 2 == 0:
-            omega[r] = 1
+    gram = standard_symplectic(F, d)
+    i, j = np.array(wedge_basis(d, 2)).T
+    omega = ((j == i + 1) & (i % 2 == 0)).astype(np.int64)
+    r0 = int(np.flatnonzero(omega)[0])
     # functional: sum lam_ij f(e_i, e_j)
-    func = np.array([form_eval(form, identity_mat(d)[i], identity_mat(d)[j])
-                     for (i, j) in basis], dtype=np.int64).reshape(-1, 1)
+    func = gram[i, j][:, None]
     W_basis = nullspace_basis(F, func)
-    gens = symplectic_transvection_gens(F, d, form)
-    dim_w = W_basis.shape[0]
-
-    def in_W(vec):
-        acc = 0
-        for r in range(len(vec)):
-            acc = F.add_elems(acc, F.mul_elems(int(vec[r]), int(func[r, 0])))
-        return acc == 0
 
     D_invariant = True
     W_invariant = True
-    for g in gens:
+    for g in symplectic_transvection_gens(F, d, gram):
         wg = wedge_power_matrix(F, g, 2)
-        img = mat_vec(F, omega, wg)
-        # image must be a scalar multiple of omega
-        ratio = None
-        okD = True
-        for r in range(len(basis)):
-            if omega[r] == 0:
-                if img[r] != 0:
-                    okD = False
-            else:
-                c = F.mul_elems(int(img[r]), F.inv_elem(int(omega[r])))
-                if ratio is None:
-                    ratio = c
-                elif ratio != c:
-                    okD = False
-        D_invariant = D_invariant and okD
-        for row in W_basis:
-            if not in_W(mat_vec(F, row, wg)):
-                W_invariant = False
-    d_in_w = in_W(omega)
+        # the image must be a scalar multiple of omega (entries 0 or 1)
+        img = vec_batch_apply(F, omega, wg)
+        D_invariant &= np.array_equal(img, F.mul[img[r0], omega])
+        W_img = vec_batch_apply(F, W_basis, wg)
+        W_invariant &= not vec_batch_apply(F, W_img, func).any()
+    d_in_w = not vec_batch_apply(F, omega, func).any()
     return {
         "ell": ell, "q": q,
-        "dim_lambda2": len(basis),
-        "dim_W": dim_w,
+        "dim_lambda2": len(i),
+        "dim_W": W_basis.shape[0],
         "D_invariant": D_invariant,
         "W_invariant": W_invariant,
         "D_in_W": d_in_w,

@@ -253,15 +253,9 @@ def _symplectic_basis(F, d, form):
             pool[t] = F.add[w, _vec_scale(F, v, form(w, u))]
         rows.extend([u, v])
     B = np.array(rows, dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            want = 0
-            if j == i + 1 and i % 2 == 0:
-                want = 1
-            elif j == i - 1 and i % 2 == 1:
-                want = int(F.neg[1])
-            if form(B[i], B[j]) != want:
-                raise AssertionError("basis is not symplectic")
+    gram = np.array([[form(u, v) for v in B] for u in B], dtype=np.int64)
+    if not np.array_equal(gram, lm.standard_symplectic(F, d)):
+        raise AssertionError("basis is not symplectic")
     return B
 
 

@@ -243,10 +243,56 @@ def test_thread_determinism():
     assert outs[0] == outs[1]
 
 
-def test_report_schema_matches():
-    sch = cli.report_schema()
-    assert tuple(sch.keys()) == cli.REPORT_KEYS
-    assert all(isinstance(v, str) and v for v in sch.values())
+# reports of code no frozen answer covers: the line-1 GL kit, Sp(4, 3)
+# and GammaL(1, 4096), whose field has no tables (wall_ms stripped)
+REPORT_PINS = [
+    (["verify-line", "1", "--p", "3", "--n", "2"],
+     '{"claim_id": "table-line-1:p=3,n=2", "anchor": "table-line-1", '
+     '"params": {"p": 3, "n": 2}, "status": "verified", "omega": '
+     '{"lower": 3, "upper": 3, "exact": 3}, "orbit_lengths": [1, 8, '
+     '72], "orbit_orders": [1, 3, 9], "subgroup_orders": {"Z": 81, '
+     '"Gprime": 1, "Phi": 9, "N": 9}, "induced": {"A_order": 48, '
+     '"B_order": 48, "A_transitive": true, "B_transitive": true}, '
+     '"witnesses": {"family": "line1", "m_dim": 2, "n_dim": 2, '
+     '"side_conditions": {"orbit_lengths_formula": true, "N_order": '
+     'true, "A_transitive": true, "B_transitive": true, '
+     '"N_is_frattini": true, "m_ge_n": true, '
+     '"quotient_action_determines_N_action": true}}}'),
+    (["hering-check", "sp", "--d", "4", "--q", "3"],
+     '{"claim_id": "hering:sp:d=4,q=3", "anchor": "hering-sp", '
+     '"params": {"d": 4, "q": 3}, "status": "verified", "omega": '
+     'null, "orbit_lengths": null, "orbit_orders": null, '
+     '"subgroup_orders": null, "induced": null, "witnesses": '
+     '{"closure_order": 51840, "residual_order": 51840, "perfect": '
+     'true, "nonzero_vectors": 80, "transitive": true}}'),
+    (["hering-check", "gammaL1", "--p", "2", "--m", "12"],
+     '{"claim_id": "hering:gammaL1:p=2,m=12", "anchor": '
+     '"hering-gammaL1", "params": {"p": 2, "m": 12}, "status": '
+     '"verified", "omega": null, "orbit_lengths": null, '
+     '"orbit_orders": null, "subgroup_orders": null, "induced": null, '
+     '"witnesses": {"nonzero_vectors": 4095, "transitive": true}}'),
+]
+
+
+@pytest.mark.parametrize("argv,want", REPORT_PINS,
+                         ids=[" ".join(a[:2]) for a, _ in REPORT_PINS])
+def test_report_pinned(argv, want):
+    code, text = run_cli(argv + ["--json"])
+    assert code == 0
+    rep = json.loads(text)
+    rep.pop("wall_ms")
+    assert json.dumps(rep) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "line2", "--p", "4091", "--r", "2"],    # GF(4091)
+    ["construct", "line2", "--p", "47", "--r", "3"],      # GF(47^2)
+    ["verify-line", "2", "--p", "4091", "--r", "2"],
+])
+def test_field_without_tables_exits_1(argv, capsys):
+    code, text = run_cli(argv)
+    assert code == 1 and text == ""
+    assert "exceeds TABLE_CAP 2048" in capsys.readouterr().err
 
 
 def test_module_entrypoint():

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -235,6 +238,30 @@ def test_find_isomorphism_random_relabel():
         phi = ge.find_isomorphism(A4, H)
         assert phi is not None
         assert np.array_equal(phi[A4.mul], H.mul[phi[:, None], phi[None, :]])
+
+
+def test_find_isomorphism_proof_survives_optimize():
+    # python -O strips assert statements, and the proof of a search hit
+    # must still raise there; the patched search returns the map onto the
+    # identity, a homomorphism that is not a bijection
+    script = "\n".join([
+        "import numpy as np",
+        "from orbitforge import group_engine as ge",
+        "G = ge.group_from_oracle(list(range(4)), lambda a, b: (a + b) % 4)",
+        "ge._HomSearch.run = lambda self: np.full((1, G.n), G.e)",
+        "print(__debug__)",
+        "try:",
+        "    ge.find_isomorphism(G, G)",
+        "except AssertionError as exc:",
+        "    print(exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(ge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout == "False\nsearch hit is not an isomorphism\n", \
+        proc.stderr
 
 
 def test_class_labels_in_blocks(monkeypatch):

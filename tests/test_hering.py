@@ -24,7 +24,7 @@ def _elements(gens):
         nxt = []
         for M in frontier:
             for g in gens.mats:
-                P = lm.mat_mul(F, M, g)
+                P = lm.vec_batch_apply(F, M, g)
                 if P.tobytes() not in seen:
                     seen[P.tobytes()] = P
                     nxt.append(P)
@@ -77,7 +77,7 @@ def test_sl2_5_search():
     eye = lm.identity_mat(2)
     F = field_create(11, 1)
     sq = [M for M in elems
-          if np.array_equal(lm.mat_mul(F, M, M), eye)
+          if np.array_equal(lm.vec_batch_apply(F, M, M), eye)
           and not np.array_equal(M, eye)]
     assert len(sq) == 1
     with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
+import pytest
 
 from orbitforge import linalg_mod as lm
 from orbitforge.gf_arith import field_create
@@ -20,7 +22,8 @@ def test_inverse_and_rank():
             if lm.mat_det(F3, g) != 0:
                 break
         gi = lm.mat_inv(F3, g)
-        assert np.array_equal(lm.mat_mul(F3, g, gi), lm.identity_mat(3))
+        assert np.array_equal(lm.vec_batch_apply(F3, g, gi),
+                              lm.identity_mat(3))
         assert len(lm.nullspace_basis(F3, g)) == 0
     sing = np.array([[1, 2, 0], [0, 1, 1], [1, 0, 1]], dtype=np.int64)
     ns = lm.nullspace_basis(F3, sing)
@@ -59,9 +62,9 @@ def test_wedge_functorial():
             if lm.mat_det(F, g) == 0 or lm.mat_det(F, h) == 0:
                 continue
             done += 1
-            lhs = lm.wedge_power_matrix(F, lm.mat_mul(F, g, h), 2)
-            rhs = lm.mat_mul(F, lm.wedge_power_matrix(F, g, 2),
-                             lm.wedge_power_matrix(F, h, 2))
+            lhs = lm.wedge_power_matrix(F, lm.vec_batch_apply(F, g, h), 2)
+            rhs = lm.vec_batch_apply(F, lm.wedge_power_matrix(F, g, 2),
+                                     lm.wedge_power_matrix(F, h, 2))
             assert np.array_equal(lhs, rhs)
 
 
@@ -86,10 +89,10 @@ def test_wedge_vec_compatible():
         g = rng.randint(0, 9, size=(3, 3)).astype(np.int64)
         if lm.mat_det(F9, g) == 0:
             continue
-        lhs = lm.wedge_vec(F9, lm.mat_vec(F9, u, g),
-                           lm.mat_vec(F9, v, g), 3)
-        rhs = lm.mat_vec(F9, lm.wedge_vec(F9, u, v, 3),
-                         lm.wedge_power_matrix(F9, g, 2))
+        lhs = lm.wedge_vec(F9, lm.vec_batch_apply(F9, u, g),
+                           lm.vec_batch_apply(F9, v, g), 3)
+        rhs = lm.vec_batch_apply(F9, lm.wedge_vec(F9, u, v, 3),
+                                 lm.wedge_power_matrix(F9, g, 2))
         assert np.array_equal(lhs, rhs)
 
 
@@ -125,3 +128,60 @@ def test_sp_lambda2_submodules():
         assert rep["ok"], (ell, q, rep)
         assert rep["D_invariant"] and rep["W_invariant"]
         assert rep["D_in_W"] == rep["expected_D_in_W"]
+
+
+def test_nullspace_non_prime_fields():
+    rng = np.random.RandomState(4)
+    for F in (F4, F9):
+        for _ in range(40):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 6)
+            M = rng.randint(0, F.q, size=(rows, cols)).astype(np.int64)
+            if rng.rand() < 0.5:     # a repeated row: a nonzero kernel
+                M = np.vstack([M, M[-1]])
+            ns = lm.nullspace_basis(F, M)
+            assert ns.shape[1] == len(M)
+            assert not lm.vec_batch_apply(F, ns, M).any()
+            # the rows span the whole left kernel, counted by brute force
+            V = np.array(list(itertools.product(range(F.q), repeat=len(M))))
+            kernel = np.count_nonzero(~lm.vec_batch_apply(F, V, M).any(1))
+            assert kernel == F.q ** len(ns)
+
+
+def test_inverse_gf9():
+    rng = np.random.RandomState(5)
+    done = 0
+    while done < 40:
+        g = rng.randint(0, 9, size=(3, 3)).astype(np.int64)
+        if lm.mat_det(F9, g) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                lm.mat_inv(F9, g)
+            continue
+        done += 1
+        gi = lm.mat_inv(F9, g)
+        eye = lm.identity_mat(3)
+        assert np.array_equal(lm.vec_batch_apply(F9, g, gi), eye)
+        assert np.array_equal(lm.vec_batch_apply(F9, gi, g), eye)
+    sing = np.array([[1, 2, 5], [0, 0, 0], [4, 0, 1]], dtype=np.int64)
+    sing[1] = F9.mul[3, sing[0]]     # row 1 is t times row 0
+    with pytest.raises(ValueError, match="singular"):
+        lm.mat_inv(F9, sing)
+
+
+def test_sp_multiplier_similitude():
+    J = lm.standard_symplectic(F9, 2)
+    for lam in range(2, 9):
+        # diag(lam, 1) scales f(e_0, e_1) by lam
+        assert lm.sp_multiplier(F9, J, np.diag([lam, 1])) == lam
+    # on d = 2 every matrix scales the form by its determinant
+    assert lm.sp_multiplier(F9, J, np.array([[1, 1], [1, 1]])) == 0
+    # e_0 -> e_0 + e_2 pairs e_0 with e_3, which the form keeps apart
+    g = lm.identity_mat(4)
+    g[0, 2] = 1
+    assert lm.sp_multiplier(F9, lm.standard_symplectic(F9, 4), g) is None
+
+
+def test_transvections_gf9_pinned():
+    gens = np.array(lm.symplectic_transvection_gens(F9, 4))
+    assert gens.shape == (1640, 4, 4)
+    assert hashlib.sha256(gens.tobytes()).hexdigest()[:16] == \
+        "d7f822853ae004fe"
