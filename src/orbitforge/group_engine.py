@@ -7,15 +7,21 @@ and the isomorphism / automorphism search -- works on the table.
 
 Every table is proved a group on construction: Latin square, two-sided
 identity and inverses, and associativity by Light's test on a generating
-set S, at n^2 * |S| cost for every order.  The center is the centralizer
-of S; G', the lower central terms and a p-group's Frattini subgroup are
-normal closures of commutators and p-th powers of generators.  A
-non-p-group's Frattini subgroup is the intersection of its maximal
-subgroups, read off the whole subgroup lattice; the lattice walk closes
-<H, g> once per class H{g^k : gcd(k, |g|) = 1}H, since every member of
-that class gives the same subgroup.  Caps: the lattice at |G| <= 512,
+set S, at n^2 * |S| cost for every order.  S is irredundant (a greedy
+pick, then a reverse pass that drops each generator the rest still
+generate), so a p-group gets d(G) = log_p |G : Phi(G)| generators, and
+everything priced per generator scales with d(G).  The center is the
+centralizer of S; G', the lower central terms and a p-group's Frattini
+subgroup are normal closures of commutators and p-th powers of
+generators.  A non-p-group's Frattini subgroup is the intersection of
+its maximal subgroups, read off the whole subgroup lattice; the lattice
+walk closes <H, g> once per class H{g^k : gcd(k, |g|) = 1}H, since every
+member of that class gives the same subgroup.  Caps: the lattice at |G| <= 512,
 isomorphism search at |G| <= 1024, and Aut(G) at |G| <= 512, found as
-strong generators plus its order by an exhaustive base-image backtrack.
+strong generators plus its order by an exhaustive base-image backtrack
+on the base S.  Both searches evaluate candidate generator images one
+BFS depth of <S> at a time and drop a candidate at the first depth
+where a relation fails; every hit is then proved by hom_on_generators.
 """
 
 import math
@@ -58,13 +64,24 @@ class FiniteGroup:
         ar = np.arange(n, dtype=np.int64)
         if mul.min() < 0 or mul.max() >= n:
             raise ValueError("table entries out of range")
-        # every pass over the whole table reads slabs of BLOCK_CELLS cells
+        # every pass over the whole table reads slabs of BLOCK_CELLS cells;
+        # a slab of rows (or of columns, as rows of the transpose) is
+        # Latin when scattering cell (r, v) to seen[r * n + v] sets every
+        # flag, since each of its m lines then holds all n values
         step = max(1, BLOCK_CELLS // n)
+        cells = np.empty((min(step, n), n), dtype=np.int64)
+        seen = np.empty(cells.size, dtype=bool)
+        offs = ar[:step, None] * n
         for lo in range(0, n, step):
-            if not (np.all(np.sort(mul[lo:lo + step], axis=1) == ar) and
-                    np.all(np.sort(mul[:, lo:lo + step], axis=0) ==
-                           ar[:, None])):
-                raise ValueError("table is not a Latin square")
+            for slab in (mul[lo:lo + step], mul[:, lo:lo + step].T):
+                m = len(slab)
+                np.add(slab, offs[:m], out=cells[:m])
+                seen[:m * n] = False
+                seen[cells[:m].ravel()] = True
+                if not seen[:m * n].all():
+                    raise ValueError("table is not a Latin square")
+        # freed before Light's test, whose blocks set the peak memory
+        del cells, seen
         # only the row with 0 in column 0 can be a left identity
         e = int(np.flatnonzero(mul[:, 0] == 0)[0])
         if not (np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)):
@@ -303,13 +320,27 @@ class FiniteGroup:
         return self._cache["gamma"]
 
     def generating_sequence(self):
-        """Greedy: highest element order first, then smallest class."""
+        """An irredundant generating sequence.  The greedy pick (highest
+        element order first, then smallest class) can keep generators
+        that later picks make redundant, so one reverse pass then drops
+        each generator whose removal still leaves the closure at |G|, at
+        n |S| cells per closure.  A generator kept by the pass stays
+        needed once earlier ones go, since fewer elements generate no
+        more, so no member can be left out; for a p-group that makes
+        |S| = d(G) = log_p |G : Phi(G)| (Burnside's basis theorem).
+        Light's test and hom_on_generators need only some set whose
+        closure is G, so both stay proofs on this one."""
         if "gens" not in self._cache:
             orders = self.orders()
             csz = self.class_sizes()
             cand = sorted(range(self.n),
                           key=lambda i: (-int(orders[i]), int(csz[i]), i))
-            self._cache["gens"] = self.greedy_generators(cand, [self.e])
+            gens = self.greedy_generators(cand, [self.e])
+            for i in reversed(range(len(gens))):
+                rest = gens[:i] + gens[i + 1:]
+                if len(self.closure(rest)) == self.n:
+                    gens = rest
+            self._cache["gens"] = gens
         return self._cache["gens"]
 
     def greedy_generators(self, cand, start):
@@ -401,10 +432,17 @@ def import_cayley(path):
 class _HomSearch:
     """Layered backtracking over generator images, vectorized per chunk.
 
-    Level k knows S_k = <gens[:k]> in G as a BFS tree; a batch of partial
-    image rows is propagated down the tree in one numpy pass, then pruned
-    by the multiplication constraints on every (element of S_k, generator)
-    pair and by injectivity on S_k.
+    Level k knows S_k = <gens[:k]> in G as a BFS tree from e and
+    gens[:k], split into depth stages.  A batch of candidate image rows
+    is evaluated one stage per gather: the stage's images come from the
+    previous depth, then the multiplication constraints on the
+    (element, generator) edges whose later endpoint has depth <= d are
+    checked, and the batch shrinks to the rows that pass before the next
+    stage.  Injectivity on S_k is tested last, on the rows still left.
+    Each (element, generator) edge is either an image step or a check
+    at the stage of its later endpoint, so the survivors, and their
+    order, are those of building every image first and checking every
+    edge after.
     """
 
     def __init__(self, G, H, find_all):
@@ -418,59 +456,82 @@ class _HomSearch:
             sel = (h_ord == g_ord[g]) & (h_csz == g_csz[g])
             self.buckets.append(np.nonzero(sel)[0].astype(np.int64))
         self.levels = [self._level(k) for k in range(1, self.k_total + 1)]
+        # the last level spans G: its columns, read back in index order
+        self.col = (np.argsort(self.levels[-1]["order"]) if self.levels
+                    else None)
 
     def _level(self, k):
+        """The BFS tree of S_k from e and gens[:k] under right
+        multiplication by gens[:k], by depth.  Column j of an image row
+        holds the image of order[j]: e, then gens[:k], then each depth in
+        turn.  The stage of depth d is (hi, src, gen, check): the columns
+        below hi are the elements of depth <= d; the column at lo + c, lo
+        the previous stage's hi, is the image of column src[c] times the
+        image of gens[gen[c]]; and check holds the edges (s, t, i),
+        s gens[i] = t, whose later endpoint has depth d, to test
+        phi(s) phi(gens[i]) = phi(t).  A depth with neither is left
+        out."""
         G = self.G
         gset = self.gens[:k]
-        members = G.closure(gset)
-        assigned = {G.e}
-        assigned.update(gset)
-        assign_edges = []   # (target, source, gen position)
-        check_edges = [[] for _ in range(k)]  # per gen: (source, target)
-        queue = deque(sorted(assigned))
-        pending = set(queue)
-        while queue:
-            s = queue.popleft()
-            for i, g in enumerate(gset):
-                t = int(G.mul[s, g])
-                if t in assigned:
-                    check_edges[i].append((s, t))
-                else:
-                    assigned.add(t)
-                    assign_edges.append((t, s, i))
-                    if t not in pending:
-                        pending.add(t)
-                        queue.append(t)
-        return {"members": members, "assign": assign_edges,
-                "check": [np.array(ce, dtype=np.int64).reshape(-1, 2)
-                          for ce in check_edges]}
+        order = [G.e] + list(gset)
+        col = {x: j for j, x in enumerate(order)}
+        depth = dict.fromkeys(order, 0)
+        assign, check = [[]], [[]]
+        front = list(order)
+        while front:
+            assign.append([])
+            check.append([])
+            nxt = []
+            for s in front:
+                for i, g in enumerate(gset):
+                    t = int(G.mul[s, g])
+                    if t in col:
+                        check[max(depth[s], depth[t])].append(
+                            (col[s], col[t], i))
+                    else:
+                        col[t], depth[t] = len(order), depth[s] + 1
+                        order.append(t)
+                        assign[-1].append((col[s], i))
+                        nxt.append(t)
+            front = nxt
+        stages, hi = [], k + 1
+        for a, c in zip(assign, check):
+            hi += len(a)
+            a = np.array(a, dtype=np.int64).reshape(-1, 2).T
+            c = np.array(c, dtype=np.int64).reshape(-1, 3).T
+            if a.size or c.size:
+                stages.append((hi, a[0], a[1], c))
+        return {"order": np.array(order, dtype=np.int64), "stages": stages}
 
     def _evaluate(self, rows, k):
-        """rows: (B, k) candidate image tuples; returns (mask, phi)."""
-        G, H = self.G, self.H
-        lev = self.levels[k - 1]
-        B = rows.shape[0]
-        phi = np.full((B, G.n), -1, dtype=np.int64)
-        phi[:, G.e] = H.e
-        for j in range(k):
-            phi[:, self.gens[j]] = rows[:, j]
-        for (t, s, i) in lev["assign"]:
-            phi[:, t] = H.mul[phi[:, s], rows[:, i]]
-        ok = np.ones(B, dtype=bool)
-        for i in range(k):
-            ce = lev["check"][i]
-            if ce.size == 0:
-                continue
-            lhs = H.mul[phi[:, ce[:, 0]], rows[:, i][:, None]]
-            ok &= np.all(lhs == phi[:, ce[:, 1]], axis=1)
-        mem = lev["members"]
-        sub = np.sort(phi[:, mem], axis=1)
-        if sub.shape[1] > 1:
-            ok &= np.all(sub[:, 1:] != sub[:, :-1], axis=1)
-        return ok, phi
+        """rows: (B, k) candidate images of gens[:k].  Returns (keep,
+        phi): the indices of the rows that extend to an injective
+        homomorphism on S_k, in their order, and those rows' images with
+        columns as in the level's order.  One gather per stage fills its
+        columns, its checks run at once, and the batch shrinks to the
+        rows that pass, so later stages and the injectivity test see
+        only those; no per-element loop."""
+        H, lev = self.H, self.levels[k - 1]
+        keep = np.arange(rows.shape[0])
+        phi = np.empty((rows.shape[0], len(lev["order"])), dtype=np.int64)
+        phi[:, 0] = H.e
+        phi[:, 1:k + 1] = rows
+        lo = k + 1
+        for hi, src, gen, (cs, ct, ci) in lev["stages"]:
+            if hi > lo:
+                phi[:, lo:hi] = H.mul[phi[:, src], rows[:, gen]]
+            lo = hi
+            if len(cs):
+                ok = np.all(H.mul[phi[:, cs], rows[:, ci]] == phi[:, ct],
+                            axis=1)
+                if not ok.all():
+                    keep, rows, phi = keep[ok], rows[ok], phi[ok]
+        sub = np.sort(phi, axis=1)
+        ok = np.all(sub[:, 1:] != sub[:, :-1], axis=1)
+        return keep[ok], phi[ok]
 
-    def _collect(self, ok, phi):
-        hits = phi[ok]
+    def _collect(self, phi):
+        hits = phi[:, self.col]
         if len(hits):
             self.found.append(hits if self.find_all else hits[:1])
         return bool(len(hits)) and not self.find_all
@@ -488,14 +549,12 @@ class _HomSearch:
             ext = np.empty((B * bucket.size, k + 1), dtype=np.int64)
             ext[:, :k] = np.repeat(chunk, bucket.size, axis=0)
             ext[:, k] = np.tile(bucket, B)
-            ok, phi = self._evaluate(ext, k + 1)
+            keep, phi = self._evaluate(ext, k + 1)
             if k + 1 == self.k_total:
-                if self._collect(ok, phi):
+                if self._collect(phi):
                     return True
-            else:
-                surv = ext[ok]
-                if surv.shape[0] and self._descend(surv, k + 1):
-                    return True
+            elif len(keep) and self._descend(ext[keep], k + 1):
+                return True
         return False
 
     def run(self, prefix=()):
@@ -509,8 +568,8 @@ class _HomSearch:
         if k == 0:
             self._descend(rows, 0)
         elif k == self.k_total:
-            self._collect(*self._evaluate(rows, k))
-        elif self._evaluate(rows, k)[0][0]:
+            self._collect(self._evaluate(rows, k)[1])
+        elif len(self._evaluate(rows, k)[0]):
             self._descend(rows, k)
         if not self.found:
             return np.empty((0, self.G.n), dtype=np.int64)

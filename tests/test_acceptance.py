@@ -186,6 +186,20 @@ def test_criterion_8_oracle_coherence():
            "%d groups, %d holomorph ranks" % (checked, holo))
 
 
+def test_criterion_8_aut_at_order_512():
+    """The two order-512 catalog groups, line 4 at n = 3 (norm-512) and
+    line 5 (trace-512), have automorphism groups of different orders, so
+    they are not isomorphic: a proof independent of the layer-map
+    search of the irredundancy check."""
+    t0 = time.time()
+    norm = brute_force_aut(cons.suzuki_B(3).group)
+    trace = brute_force_aut(cons.dornhoff_P().group)
+    assert len(norm) == 99090432
+    assert len(trace) == 16515072
+    _stamp("8 (Aut at order 512)", t0, "|Aut| %d and %d"
+           % (len(norm), len(trace)))
+
+
 def test_criterion_9_structural_invariants():
     t0 = time.time()
     reports = getattr(test_criterion_1_table_lines, "reports", None)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -475,3 +476,115 @@ def test_gl3_tower_core_in_bounded_memory(gl3):
     core, core_mb = _traced_peak_mb(lambda: ge.characteristic_core(H))
     assert [len(g) for g in core["gamma"]] == [2187, 81, 3, 1]
     assert built_mb < 8 and core_mb < 8
+
+
+@pytest.mark.parametrize("n", [8, 300])
+def test_latin_check_reads_columns(n):
+    """Every row of this table is a permutation, but its last row copies
+    the first, so each column repeats an entry."""
+    mul = (np.arange(n)[:, None] + np.arange(n)) % n
+    mul[-1] = mul[0]
+    assert np.all(np.sort(mul, axis=1) == np.arange(n))
+    with pytest.raises(ValueError, match="not a Latin square"):
+        ge.FiniteGroup(list(range(n)), mul)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("line1", {"p": 2, "n": 1}), ("line1", {"p": 2, "n": 2}),
+    ("line1", {"p": 3, "n": 1}),
+    ("suzukiA", {"n": 3}), ("suzukiA", {"n": 5}),
+    ("suzukiB", {"n": 1}), ("suzukiB", {"n": 2}), ("suzukiB", {"n": 3}),
+    ("dornhoff", {}),
+    ("heisenberg", {"p": 3, "m": 2, "n": 1, "b": 1}),
+    ("heisenberg", {"p": 5, "m": 2, "n": 1, "b": 1}),
+    ("heisenberg", {"p": 3, "m": 4, "n": 2, "b": 2}),
+    ("gl3-tower", None),
+    ("extraspecial2", {"k": 2, "eps": "+"}),
+    ("extraspecial2", {"k": 2, "eps": "-"}),
+    ("sl3", {"q": 3}),
+], ids=lambda v: v if isinstance(v, str) else
+    ",".join("%s=%s" % kv for kv in (v or {}).items()))
+def test_generating_sequence_has_d_generators(family, params, gl3):
+    """Burnside's basis theorem: every irredundant generating set of a
+    p-group has d(G) = log_p |G : Phi(G)| members, and the reverse pass
+    leaves the greedy sequence irredundant."""
+    G = gl3 if params is None else cons.build(family, params)[0].group
+    p = prime_power(G.n)[0]
+    index, d = G.n // len(G.frattini()), 0
+    while index > 1:
+        index, d = index // p, d + 1
+    assert len(G.generating_sequence()) == d
+
+
+def _evaluate_one_at_a_time(search, rows, k):
+    """Reference for _HomSearch._evaluate, one row and one element at a
+    time: assign the image of every element of <gens[:k]> by a walk from
+    e and gens[:k], then check every (element, generator) edge, then
+    injectivity.  The surviving row indices, and their images as dicts."""
+    G, H, gens = search.G, search.H, search.gens[:k]
+    keep, images = [], []
+    for r, row in enumerate(rows.tolist()):
+        phi = {G.e: H.e}
+        phi.update(zip(gens, row))
+        queue = deque(phi)
+        while queue:
+            s = queue.popleft()
+            for g, x in zip(gens, row):
+                t = int(G.mul[s, g])
+                if t not in phi:
+                    phi[t] = int(H.mul[phi[s], x])
+                    queue.append(t)
+        if (all(H.mul[phi[s], x] == phi[int(G.mul[s, g])]
+                for s in phi for g, x in zip(gens, row)) and
+                len(set(phi.values())) == len(phi)):
+            keep.append(r)
+            images.append(phi)
+    return keep, images
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cons.extraspecial2(2, "+").group,
+    lambda: cons.extraspecial2(2, "-").group,
+    lambda: cons.suzuki_A(3, 1).group,
+    lambda: cons.heisenberg_trace((5, 1), (5, 1), 2).group,
+    vs.q8_on_c3c3,
+], ids=["es2(2,+)", "es2(2,-)", "suzukiA(3)", "line7(5,2,1,1)",
+        "q8_on_c3c3"])
+def test_staged_evaluation_matches_reference(build, monkeypatch):
+    """Random candidate rows drawn from the buckets, mixed with the
+    generator images of true automorphisms so that every level has
+    survivors: the staged evaluation keeps the same rows, in the same
+    order, with the same images, as the one-at-a-time reference.  So
+    automorphism_group returns the same generators with either."""
+    G = build()
+    search = ge._HomSearch(G, G, find_all=False)
+    auts = ge.all_automorphisms(G)
+    gens, order = ge.automorphism_group(G)
+    assert order == len(auts)
+    rng = np.random.default_rng(13)
+    pruned = False
+    for k in range(1, search.k_total + 1):
+        rand = np.stack([rng.choice(b, 300) for b in search.buckets[:k]],
+                        axis=1)
+        true = auts[rng.choice(len(auts), 40)][:, search.gens[:k]]
+        rows = rng.permutation(np.concatenate([rand, true]))
+        keep, phi = search._evaluate(rows, k)
+        ref_keep, ref_images = _evaluate_one_at_a_time(search, rows, k)
+        assert keep.tolist() == ref_keep, k
+        order_k = search.levels[k - 1]["order"].tolist()
+        assert phi.tolist() == [[img[x] for x in order_k]
+                                for img in ref_images], k
+        assert len(ref_keep) >= 40
+        pruned |= len(ref_keep) < len(rows)
+    assert pruned
+
+    def reference(self, rows, k):
+        keep, images = _evaluate_one_at_a_time(self, rows, k)
+        order_k = self.levels[k - 1]["order"].tolist()
+        return (np.array(keep, dtype=np.int64), np.array(
+            [[img[x] for x in order_k] for img in images],
+            dtype=np.int64).reshape(-1, len(order_k)))
+
+    monkeypatch.setattr(ge._HomSearch, "_evaluate", reference)
+    ref_gens, ref_order = ge.automorphism_group(G)
+    assert ref_order == order and np.array_equal(ref_gens, gens)
