@@ -2,8 +2,11 @@
 
 Every family is realized on tuple codes (field element indices or small
 residues), its multiplication table is built vectorized from coordinate
-formulas, and each structured automorphism generator attached to the
-family is verified against the table before it is returned.
+formulas, one coordinate column at a time, and each structured
+automorphism generator attached to the family is verified against the
+table before it is returned.  A bilinear cocycle or form is evaluated
+through its Gram matrix (linalg_mod.form_matrix over a field, integer
+products mod 2 for the extraspecial 2-groups).
 
 FAMILIES maps each family name to a function whose signature is the
 family's parameter schema: names in report order, defaults for the
@@ -55,10 +58,14 @@ class _Coder:
         return [tuple(map(int, row)) for row in self.digits]
 
     def encode_cols(self, cols):
-        out = None
-        for t, c in enumerate(cols):
-            term = c * self.weights[t]
-            out = term if out is None else out + term
+        """Codes of the tuples whose coordinate t is cols[t], by Horner's
+        rule in place.  cols may be a generator: each column is dropped
+        once added, so only the output and one column are alive."""
+        cols = iter(cols)
+        out = np.array(next(cols), dtype=np.int64)
+        for s in self.shapes[1:]:
+            out *= s
+            out += next(cols)
         return out
 
 
@@ -128,8 +135,8 @@ def line1_abelian(p, n, *, cap=None):
     psq = p * p
     coder = _Coder([psq] * n)
     D = coder.digits
-    cols = [(D[:, t][:, None] + D[:, t][None, :]) % psq for t in range(n)]
-    table = coder.encode_cols(cols)
+    table = coder.encode_cols((D[:, t][:, None] + D[:, t][None, :]) % psq
+                              for t in range(n))
     perms = []
     for M in _glq_generator_mats(field_create(p, 1), n):
         img = (D @ M.T) % psq  # row vector image with integer matrix, mod p^2
@@ -171,11 +178,13 @@ def line2_frobenius(p, r, ell, d, *, cap=None):
     coder = _Coder([e] + [q] * d)
     D = coder.digits
     A, B = D[:, 0][:, None], D[:, 0][None, :]
-    cols = [(A + B) % e]
-    for t in range(1, d + 1):
-        scaled = F.mul[D[:, t][:, None], lampow[B]]
-        cols.append(F.add[scaled, D[:, t][None, :]])
-    table = coder.encode_cols(cols)
+
+    def cols():
+        yield (A + B) % e
+        for t in range(1, d + 1):
+            yield F.add[F.mul[D[:, t][:, None], lampow[B]], D[:, t][None, :]]
+
+    table = coder.encode_cols(cols())
     perms = []
     # GF(q)-linear maps on the vector part
     for M in _glq_generator_mats(F, d):
@@ -208,8 +217,12 @@ def suzuki_A(n, i, *, cap=None):
     D = coder.digits
     L1, L2 = D[:, 0][:, None], D[:, 0][None, :]
     Z1, Z2 = D[:, 1][:, None], D[:, 1][None, :]
-    cols = [F.add[L1, L2], F.add[F.add[Z1, Z2], F.mul[th[L1], L2]]]
-    table = coder.encode_cols(cols)
+
+    def cols():
+        yield F.add[L1, L2]
+        yield F.add[F.add[Z1, Z2], F.mul[th[L1], L2]]
+
+    table = coder.encode_cols(cols())
     xi = element_of_order(F, q - 1)
     perms = []
     for a_exp, lam in ((0, xi), (1, 1)):
@@ -247,10 +260,13 @@ def suzuki_B(n, eps_choice=0, *, cap=None):
     D = coder.digits
     L1, L2 = D[:, 0][:, None], D[:, 0][None, :]
     Z1, Z2 = D[:, 1][:, None], D[:, 1][None, :]
-    x = F2.mul[F2.mul[L1, frq[L2]], eps]
-    c = _pick(F2.add[x, frq[x]], inv_emb)
-    cols = [F2.add[L1, L2], F.add[F.add[Z1, Z2], c]]
-    table = coder.encode_cols(cols)
+    tr = trace_table(F2, n)     # x -> x + x^q, read in F
+
+    def cols():
+        yield F2.add[L1, L2]
+        yield F.add[F.add[Z1, Z2], tr[F2.mul[F2.mul[L1, frq[L2]], eps]]]
+
+    table = coder.encode_cols(cols())
     # scaling by a generator mu of GF(q^2)^*: zeta scales by the norm
     mu = element_of_order(F2, F2.q - 1)
     norm_mu = int(_pick(np.array([F2.mul_elems(mu, int(frq[mu]))]),
@@ -277,16 +293,19 @@ def dornhoff_P(*, cap=None):
     F64 = field_create(2, 6)
     F8 = field_create(2, 3)
     eps = element_of_order(F64, 63)
-    fr8 = frob_table(F64, 3)
+    tr = trace_table(F64, 3)    # x -> x + x^8, read in GF(8)
     emb, inv_emb = _inverse_embedding(F8, F64)
     coder = _Coder([64, 8])
     D = coder.digits
     L1, L2 = D[:, 0][:, None], D[:, 0][None, :]
     Z1, Z2 = D[:, 1][:, None], D[:, 1][None, :]
-    x = F64.mul[F64.mul[L1, F64.mul[L2, L2]], eps]
-    c = _pick(F64.add[x, fr8[x]], inv_emb)
-    table = coder.encode_cols([F64.add[L1, L2],
-                               F8.add[F8.add[Z1, Z2], c]])
+
+    def cols():
+        yield F64.add[L1, L2]
+        yield F8.add[F8.add[Z1, Z2],
+                     tr[F64.mul[F64.mul[L1, F64.mul[L2, L2]], eps]]]
+
+    table = coder.encode_cols(cols())
     eps3 = F64.pow_elem(eps, 3)
     eps9_in8 = int(_pick(np.array([F64.pow_elem(eps, 9)]), inv_emb)[0])
     psi = coder.encode_cols([F64.mul[D[:, 0], eps3],
@@ -318,15 +337,15 @@ def heisenberg_trace(F, F0, d, *, cap=None):
     coder = _Coder([F.q] * d + [F0.q])
     D = coder.digits
     V = D[:, :d]
-    f = None
-    for blk in range(0, d, 2):
-        a = F.mul[V[:, blk][:, None], V[:, blk + 1][None, :]]
-        b = F.mul[V[:, blk + 1][:, None], V[:, blk][None, :]]
-        term = F.add[a, F.neg[b]]
-        f = term if f is None else F.add[f, term]
-    z = F0.add[F0.add[D[:, d][:, None], D[:, d][None, :]], tr[f]]
-    cols = [F.add[V[:, t][:, None], V[:, t][None, :]] for t in range(d)]
-    table = coder.encode_cols(cols + [z])
+
+    def cols():
+        for t in range(d):
+            yield F.add[V[:, t][:, None], V[:, t][None, :]]
+        J = lm.standard_symplectic(F, d)
+        yield F0.add[F0.add[D[:, d][:, None], D[:, d][None, :]],
+                     tr[lm.form_matrix(F, V, J, V)]]
+
+    table = coder.encode_cols(cols())
     perms = []
     for g in lm.symplectic_transvection_gens(F, d):
         img = lm.vec_batch_apply(F, V, g)
@@ -368,16 +387,18 @@ def sl3_pair(F, *, cap=None):
     _check_cap(F.q ** 6, cap, F)
     coder = _Coder([F.q] * 6)
     D = coder.digits
-    cols = []
-    for t in range(6):
-        cols.append(F.add[D[:, t][:, None], D[:, t][None, :]])
-    # wedge term added to the w-coordinates, cyclic basis
-    pairs = [(1, 2), (2, 0), (0, 1)]
-    for r, (i, j) in enumerate(pairs):
-        a = F.mul[D[:, i][:, None], D[:, j][None, :]]
-        b = F.mul[D[:, j][:, None], D[:, i][None, :]]
-        cols[3 + r] = F.add[cols[3 + r], F.add[a, F.neg[b]]]
-    table = coder.encode_cols(cols)
+
+    def cols():
+        for t in range(3):
+            yield F.add[D[:, t][:, None], D[:, t][None, :]]
+        # wedge term added to the w-coordinates, cyclic basis
+        for t, (i, j) in enumerate(lm.wedge_basis(3, 2), 3):
+            yield F.add[F.add[D[:, t][:, None], D[:, t][None, :]],
+                        F.add[F.mul[D[:, i][:, None], D[:, j][None, :]],
+                              F.neg[F.mul[D[:, j][:, None],
+                                          D[:, i][None, :]]]]]
+
+    table = coder.encode_cols(cols())
     perms = []
     for g in _glq_generator_mats(F, 3):
         perms.append(coder.encode_cols(_gl3_action_cols(F, D, g)))
@@ -497,9 +518,12 @@ def _es2_beta(k, eps):
 
 
 def extraspecial2(k, eps, *, cap=None):
-    """GF(2)^(2k) x GF(2) with bilinear cocycle beta lifting the type-eps
-    quadratic form; squaring realizes Q, and the attached action is the
-    orthogonal group O(Q) lifted by triangular corrections."""
+    """GF(2)^(2k) x GF(2) with cocycle c(v1, v2) = v1 beta v2^T, where the
+    Gram matrix beta gives the type-eps quadratic form Q(v) = v beta v^T;
+    squaring realizes Q.  The attached action is the orthogonal group
+    O(Q), generated by the transvections in the nonsingular vectors (and
+    block swaps for eps = +), each lifted by the correction h(v) = v U v^T
+    with U the upper triangle of the alternating g beta g^T + beta."""
     if k < 1 or eps not in ("+", "-"):
         raise ValueError("k >= 1 and eps in {+, -}")
     d = 2 * k
@@ -509,44 +533,18 @@ def extraspecial2(k, eps, *, cap=None):
     coder = _Coder([2] * (d + 1))
     D = coder.digits
     V = D[:, :d]
-    c = np.zeros((coder.n, coder.n), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            if beta[i, j]:
-                c = (c + V[:, i][:, None] * V[:, j][None, :]) % 2
-    cols = [(V[:, t][:, None] + V[:, t][None, :]) % 2 for t in range(d)]
-    cols.append((D[:, d][:, None] + D[:, d][None, :] + c) % 2)
-    table = coder.encode_cols(cols)
 
-    def Q(v):
-        return int(v @ beta @ v % 2)
+    def cols():
+        for t in range(d):
+            yield V[:, t][:, None] ^ V[:, t][None, :]
+        yield (D[:, d][:, None] + D[:, d][None, :] + V @ beta @ V.T) % 2
 
-    def lift_perm(g):
-        img = (V @ g) % 2
-        s = (g @ beta @ g.T + beta) % 2
-        h = np.zeros(coder.n, dtype=np.int64)
-        for i in range(d):
-            for j in range(i + 1, d):
-                if s[i, j] != s[j, i]:
-                    raise AssertionError("correction form not symmetric")
-                if s[i, j]:
-                    h = (h + V[:, i] * V[:, j]) % 2
-        if np.any(np.diag(s)):
-            raise AssertionError("correction form has nonzero diagonal")
-        return coder.encode_cols([img[:, t] for t in range(d)] +
-                                 [(D[:, d] + h) % 2])
-
-    mats = []
-    for flat in range(1, 2 ** d):
-        a = np.array([(flat >> t) & 1 for t in range(d)], dtype=np.int64)
-        if Q(a) != 1:
-            continue
-        t_a = np.eye(d, dtype=np.int64)
-        for i in range(d):
-            fv = int(polar[i] @ a % 2)
-            if fv:
-                t_a[i] = (t_a[i] + a) % 2
-        mats.append(t_a)
+    table = coder.encode_cols(cols())
+    # every vector of GF(2)^d, bit t of x as coordinate t, and Q on it
+    X = (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1
+    Q = ((X @ beta) * X).sum(axis=1) % 2
+    mats = [(np.eye(d, dtype=np.int64) + np.outer(polar @ a, a)) % 2
+            for a in X[Q == 1]]
     if eps == "+" and k >= 2:
         for blk in range(k - 1):
             sw = np.eye(d, dtype=np.int64)
@@ -554,14 +552,17 @@ def extraspecial2(k, eps, *, cap=None):
             sw[[i, j]] = sw[[j, i]]
             sw[[i + 1, j + 1]] = sw[[j + 1, i + 1]]
             mats.append(sw)
+    perms = []
     for g in mats:
-        qs = [Q((np.array([(x >> t) & 1 for t in range(d)]) @ g) % 2)
-              for x in range(2 ** d)]
-        qd = [Q(np.array([(x >> t) & 1 for t in range(d)]))
-              for x in range(2 ** d)]
-        if qs != qd:
+        if not np.array_equal(Q[(X @ g) % 2 @ (1 << np.arange(d))], Q):
             raise AssertionError("generator does not preserve Q")
-    perms = [lift_perm(g) for g in mats]
+        s = (g @ beta @ g.T + beta) % 2
+        if (s != s.T).any() or s.diagonal().any():
+            raise AssertionError("correction form is not alternating")
+        h = ((V @ np.triu(s, 1)) * V).sum(axis=1) % 2
+        img = (V @ g) % 2
+        perms.append(coder.encode_cols([img[:, t] for t in range(d)] +
+                                       [(D[:, d] + h) % 2]))
     meta = {"p": 2, "eps": eps, "k": k, "W_order": 2, "V_order": 2 ** d}
     return _instance("extraspecial2", {"k": k, "eps": eps},
                      coder, table, perms, meta)

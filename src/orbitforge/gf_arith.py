@@ -10,9 +10,10 @@ lexicographically first monic irreducible of degree k (coefficients
 compared low-degree-first as integers), which makes every field, and
 every embedding computed from it, deterministic.
 
-Fields of at most TABLE_CAP elements carry dense numpy add/mul tables;
-larger fields (allowed up to SIZE_CAP) fall back to polynomial
-arithmetic per operation.
+Fields of at most TABLE_CAP elements carry dense numpy add/mul tables,
+and everything but mul_elems, pow_elem and elem_order reads them.
+Larger fields (allowed up to SIZE_CAP) have only those three, by
+polynomial arithmetic per operation.
 """
 
 import math
@@ -237,15 +238,10 @@ class FiniteField:
         return v
 
     def add_elems(self, a, b):
-        if self.add is not None:
-            return int(self.add[a, b])
-        da, db = self.digits_of(a), self.digits_of(b)
-        return self.from_digits([(x + y) % self.p for x, y in zip(da, db)])
+        return int(self.add[a, b])
 
     def neg_elem(self, a):
-        if self.neg is not None:
-            return int(self.neg[a])
-        return self.from_digits([(-d) % self.p for d in self.digits_of(a)])
+        return int(self.neg[a])
 
     def mul_elems(self, a, b):
         if self.mul is not None:
@@ -269,9 +265,7 @@ class FiniteField:
 
     def inv_elem(self, a):
         assert a != 0
-        if self.inv is not None:
-            return int(self.inv[a])
-        return self.pow_elem(a, self.q - 2)
+        return int(self.inv[a])
 
     def elem_order(self, x):
         """Multiplicative order of nonzero x."""
@@ -315,30 +309,22 @@ def subfield_embed(F_small, F_big):
     """Embedding table: numpy array emb with emb[x] = the image of x.
 
     Found by locating the least-index root beta of F_small's defining
-    polynomial inside F_big; x with digits (c_i) maps to sum c_i beta^i.
+    polynomial inside F_big, evaluated by Horner's rule at every element
+    at once; x with digits (c_i) maps to sum c_i beta^i.
     """
     if F_small.p != F_big.p or F_big.k % F_small.k != 0:
         raise ValueError("no embedding %r -> %r" % (F_small, F_big))
-    beta = None
-    for cand in range(F_big.q):
-        acc = 0
-        for c in reversed(F_small.poly):
-            acc = F_big.add_elems(F_big.mul_elems(acc, cand), c % F_big.p)
-        if acc == 0:
-            beta = cand
-            break
-    assert beta is not None
-    powers = [1]
-    for _ in range(F_small.k - 1):
-        powers.append(F_big.mul_elems(powers[-1], beta))
+    cand = np.arange(F_big.q)
+    acc = np.zeros(F_big.q, dtype=np.int64)
+    for c in reversed(F_small.poly):
+        acc = F_big.add[F_big.mul[acc, cand], c]
+    beta = int(np.flatnonzero(acc == 0)[0])
     emb = np.zeros(F_small.q, dtype=np.int64)
-    for x in range(F_small.q):
-        acc = 0
-        for c, bp in zip(F_small.digits_of(x), powers):
-            term = F_big.mul_elems(c % F_big.p, bp)
-            acc = F_big.add_elems(acc, term)
-        emb[x] = acc
-    assert len(set(emb.tolist())) == F_small.q
+    power = 1
+    for i in range(F_small.k):
+        emb = F_big.add[emb, F_big.mul[F_small._digits[:, i], power]]
+        power = F_big.mul_elems(power, beta)
+    assert len(np.unique(emb)) == F_small.q
     return emb
 
 
@@ -358,33 +344,29 @@ def trace_table(F, n):
     if F.k % n != 0:
         raise ValueError("%d does not divide %d" % (n, F.k))
     F_sub = field_create(F.p, n)
-    emb = _embedding_cached(F_sub, F)
-    back = {int(v): i for i, v in enumerate(emb)}
-    out = np.zeros(F.q, dtype=np.int64)
+    back = np.full(F.q, -1, dtype=np.int64)
+    back[_embedding_cached(F_sub, F)] = np.arange(F_sub.q)
     frob_n = frob_table(F, n)
     acc = np.arange(F.q, dtype=np.int64)
     tr = np.arange(F.q, dtype=np.int64)
     for _ in range(F.k // n - 1):
         acc = frob_n[acc]
-        tr = F.add[tr, acc] if F.add is not None else np.array(
-            [F.add_elems(a, b) for a, b in zip(tr, acc)], dtype=np.int64)
-    for x in range(F.q):
-        out[x] = back[int(tr[x])]
+        tr = F.add[tr, acc]
+    out = back[tr]
+    if (out < 0).any():
+        raise AssertionError("trace left the subfield")
     return out
 
 
 def frob_table(F, i=1):
     """Table of x -> x^(p^i) over all of F."""
     e = F.p ** (i % F.k)
-    if F.mul is not None:
-        out = np.ones(F.q, dtype=np.int64)
-        out[0] = 0
-        base = np.arange(F.q, dtype=np.int64)
-        ee = e
-        while ee:
-            if ee & 1:
-                out = F.mul[out, base]
-            base = F.mul[base, base]
-            ee >>= 1
-        return out
-    return np.array([F.pow_elem(x, e) for x in range(F.q)], dtype=np.int64)
+    out = np.ones(F.q, dtype=np.int64)
+    out[0] = 0
+    base = np.arange(F.q, dtype=np.int64)
+    while e:
+        if e & 1:
+            out = F.mul[out, base]
+        base = F.mul[base, base]
+        e >>= 1
+    return out

@@ -46,9 +46,7 @@ class FiniteGroup:
     def __init__(self, elems, mul):
         self.elems = list(elems)
         self.n = len(self.elems)
-        self.index = {c: i for i, c in enumerate(self.elems)}
-        if len(self.index) != self.n:
-            raise ValueError("duplicate element codes")
+        # strictly increasing, so also free of duplicates
         if any(self.elems[i] >= self.elems[i + 1] for i in range(self.n - 1)):
             raise ValueError("element codes must be sorted")
         self.mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int64))
@@ -633,13 +631,13 @@ def find_isomorphism(G, H):
     return phi
 
 
-def all_automorphisms(G, cap=AUT_ENUM_CAP):
+def all_automorphisms(G):
     """Every automorphism of G as an (m, n) permutation array, listed by
     the find-all search; the reference the tests hold
     automorphism_group to."""
-    if G.n > cap:
+    if G.n > AUT_ENUM_CAP:
         raise ValueError("automorphism enumeration: group order %d exceeds "
-                         "cap %d" % (G.n, cap))
+                         "cap %d" % (G.n, AUT_ENUM_CAP))
     phis = _HomSearch(G, G, find_all=True).run()
     phis = phis[hom_on_generators(G, G, phis)]
     ar = np.arange(G.n)
@@ -649,7 +647,7 @@ def all_automorphisms(G, cap=AUT_ENUM_CAP):
     return phis[order]
 
 
-def automorphism_group(G, cap=AUT_ENUM_CAP):
+def automorphism_group(G):
     """(gens, order): strong generators of Aut(G) as an (m, n)
     permutation array, and |Aut(G)|, by a base-image backtrack with the
     generating sequence g_0..g_{k-1} as base (Butler, Fundamental
@@ -666,9 +664,9 @@ def automorphism_group(G, cap=AUT_ENUM_CAP):
     is settled, the generators contain A_{j+1} and are transitive on the
     A_j-orbit of g_j, so they generate A_j and |A_j| is that orbit's
     length times |A_{j+1}|.  Exhaustive, like all_automorphisms."""
-    if G.n > cap:
+    if G.n > AUT_ENUM_CAP:
         raise ValueError("automorphism group: group order %d exceeds cap %d"
-                         % (G.n, cap))
+                         % (G.n, AUT_ENUM_CAP))
     search = _HomSearch(G, G, find_all=False)
     base = search.gens
     gens = np.empty((0, G.n), dtype=np.int64)

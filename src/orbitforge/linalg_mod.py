@@ -5,9 +5,10 @@ vectors: v -> v @ g in field arithmetic.  There is one product,
 vec_batch_apply, and one Gauss-Jordan reduction, _row_reduce, from which
 mat_det, mat_inv and nullspace_basis all read.  A bilinear form is its
 Gram matrix G, f(u, v) = u G v^T, so forms are evaluated by products as
-well.  Wedge squares use the basis e_i^e_j, i < j, in lexicographic
-order, except d = 3, k = 2 where the cyclic basis (e2^e3, e3^e1, e1^e2)
-is used so that g^g = det(g) g^{-T} holds entrywise.
+well, all through form_matrix.  Wedge squares use the basis e_i^e_j,
+i < j, in lexicographic order, except d = 3, k = 2 where the cyclic
+basis (e2^e3, e3^e1, e1^e2) is used so that g^g = det(g) g^{-T} holds
+entrywise.
 """
 
 import itertools
@@ -84,6 +85,12 @@ def nullspace_basis(F, M):
 
 # ------------------------------------------------------------------- forms
 
+def form_matrix(F, U, gram, W):
+    """The values f(u, w) = u G w^T of the form with Gram matrix G, for
+    every row u of U and w of W: the (len(U), len(W)) matrix U G W^T."""
+    return vec_batch_apply(F, vec_batch_apply(F, U, gram), W.T)
+
+
 def standard_symplectic(F, d):
     """Gram matrix of the standard alternating form: f(e_2i, e_2i+1) = 1
     and f(e_2i+1, e_2i) = -1, all other basis pairs 0."""
@@ -159,7 +166,7 @@ def symplectic_transvection_gens(F, d, gram=None):
 def sp_multiplier(F, gram, g):
     """delta with g G g^T = delta G for the Gram matrix G; None if the
     form is not preserved up to a single scalar."""
-    moved = vec_batch_apply(F, vec_batch_apply(F, g, gram), g.T)
+    moved = form_matrix(F, g, gram, g)
     nz = np.flatnonzero(gram)
     if not nz.size:
         return None

@@ -15,8 +15,8 @@ import numpy as np
 
 from ._kernels import BLOCK_CELLS, orbit_labels
 from .gf_arith import prime_power
-from .group_engine import (AUT_ENUM_CAP, automorphism_group,
-                           characteristic_core, hom_on_generators)
+from .group_engine import (automorphism_group, characteristic_core,
+                           hom_on_generators)
 from .permgroup import PermGroup
 
 HOLOMORPH_CAP = 64
@@ -333,12 +333,12 @@ def induced_pair(G, N, acts):
 
 # --------------------------------------------------------------- oracles
 
-def brute_force_aut(G, cap=AUT_ENUM_CAP):
+def brute_force_aut(G):
     """Aut(G) as strong generators plus its order, found by the
     exhaustive base-image backtrack of automorphism_group, as an
     AutomorphismSet whose len() is |Aut(G)| (each generator is proved an
     automorphism by the search; re-verification skipped)."""
-    gens, order = automorphism_group(G, cap=cap)
+    gens, order = automorphism_group(G)
     return AutomorphismSet(G, gens, verify=False, order=order)
 
 
@@ -354,7 +354,7 @@ def holomorph_rank(G, aut_set=None):
                          % (G.n, HOLOMORPH_CAP))
     n = G.n
     if aut_set is None:
-        aut_set = brute_force_aut(G, cap=HOLOMORPH_CAP)
+        aut_set = brute_force_aut(G)
     step = max(1, BLOCK_CELLS // (n * n))
     labels = None
     for perms in (G.mul.T, aut_set.perms):  # row g of mul.T: x -> x*g

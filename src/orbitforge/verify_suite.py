@@ -226,35 +226,31 @@ def verify_table_line(line, params, *, cap=None):
 
 # ---------------------------------------------- subfield tower isomorphism
 
-def _vec_scale(F, v, s):
-    return F.mul[v, s]
-
-
-def _vec_sub(F, a, b):
-    return F.add[a, F.neg[b]]
-
-
-def _symplectic_basis(F, d, form):
-    """Basis b_0..b_{d-1} with form(b_{2i}, b_{2i+1}) = 1 and all other
-    pairs zero, for a nondegenerate alternating form given as a callable
-    on index vectors."""
-    pool = [np.array([1 if t == j else 0 for t in range(d)], dtype=np.int64)
-            for j in range(d)]
+def _symplectic_basis(F, gram):
+    """Rows b_0..b_{d-1} with f(b_{2i}, b_{2i+1}) = 1 and all other pairs
+    zero, for the nondegenerate alternating form f(u, v) = u G v^T with
+    Gram matrix G.  The pool starts as the unit vectors; each round takes
+    its first vector u and the first v with f(u, v) != 0, scaled to
+    f(u, v) = 1, and projects the rest of the pool off <u, v>."""
+    d = len(gram)
+    pool = lm.identity_mat(d)
     rows = []
-    while pool:
-        u = pool.pop(0)
-        j = next((t for t, w in enumerate(pool) if form(u, w) != 0), None)
-        if j is None:
+    while len(pool):
+        u, pool = pool[:1], pool[1:]
+        fu = lm.form_matrix(F, u, gram, pool)[0]
+        nz = np.flatnonzero(fu)
+        if not nz.size:
             raise AssertionError("degenerate block in the transported form")
-        v = pool.pop(j)
-        v = _vec_scale(F, v, int(F.inv[form(u, v)]))
-        for t, w in enumerate(pool):
-            w = _vec_sub(F, w, _vec_scale(F, u, form(w, v)))
-            pool[t] = F.add[w, _vec_scale(F, v, form(w, u))]
-        rows.extend([u, v])
-    B = np.array(rows, dtype=np.int64)
-    gram = np.array([[form(u, v) for v in B] for u in B], dtype=np.int64)
-    if not np.array_equal(gram, lm.standard_symplectic(F, d)):
+        j = int(nz[0])
+        v = F.mul[pool[j:j + 1], F.inv[fu[j]]]
+        pool = np.delete(pool, j, axis=0)
+        # w -> w - f(w, v) u, then + f(w, u) v
+        pool = F.add[pool, F.neg[F.mul[lm.form_matrix(F, pool, gram, v), u]]]
+        pool = F.add[pool, F.mul[lm.form_matrix(F, pool, gram, u), v]]
+        rows += [u, v]
+    B = np.vstack(rows)
+    if not np.array_equal(lm.form_matrix(F, B, gram, B),
+                          lm.standard_symplectic(F, d)):
         raise AssertionError("basis is not symplectic")
     return B
 
@@ -262,7 +258,13 @@ def _symplectic_basis(F, d, form):
 def verify_gfgf_iso(q, d, e, *, cap=None):
     """Explicit isomorphism between the 2-dimensional group over the big
     field and the d-dimensional group over the middle field, checked on
-    every pair of elements, plus a blind search cross-check."""
+    every pair of elements, plus a blind search cross-check.
+
+    F-linear coordinates on the big field (powers of a primitive element)
+    carry F^d onto Fbig^2; there the cocycle form is Tr(y1 z2 - y2 z1),
+    the trace down to F of the standard symplectic form of Fbig^2.  Its
+    Gram matrix on F^d is read off the lifts of the unit vectors, and a
+    symplectic basis for it rebases F^d onto the standard form."""
     t0 = time.perf_counter()
     pk = prime_power(q)
     if pk is None or pk[0] == 2:
@@ -278,19 +280,12 @@ def verify_gfgf_iso(q, d, e, *, cap=None):
     G1 = cons.heisenberg_trace(Fbig, F0, 2, cap=cap)
     G2 = cons.heisenberg_trace(F, F0, d, cap=cap)
 
-    # F-linear coordinates on the big field: powers of a primitive element
+    # fwd[idx]: the big-field element with coordinates digits(idx) base F.q
     xi = element_of_order(Fbig, Fbig.q - 1)
-    basis = [Fbig.pow_elem(xi, j) for j in range(s)]
+    basis = np.array([Fbig.pow_elem(xi, j) for j in range(s)])
+    digits = (np.arange(F.q ** s)[:, None] // F.q ** np.arange(s)) % F.q
     emb = subfield_embed(F, Fbig)
-    fwd = np.zeros(F.q ** s, dtype=np.int64)
-    for idx in range(F.q ** s):
-        acc = 0
-        rest = idx
-        for j in range(s):
-            acc = Fbig.add_elems(acc, Fbig.mul_elems(int(emb[rest % F.q]),
-                                                     basis[j]))
-            rest //= F.q
-        fwd[idx] = acc
+    fwd = lm.vec_batch_apply(Fbig, emb[digits], basis[:, None])[:, 0]
     if not np.array_equal(np.sort(fwd), np.arange(Fbig.q)):
         raise AssertionError("subfield coordinates are not bijective")
     back = np.empty_like(fwd)
@@ -301,32 +296,19 @@ def verify_gfgf_iso(q, d, e, *, cap=None):
                           trace_table(Fbig, F0.k)):
         raise AssertionError("trace tower is not transitive")
 
-    def lift(u):
-        i1 = sum(int(u[j]) * F.q ** j for j in range(s))
-        i2 = sum(int(u[s + j]) * F.q ** j for j in range(s))
-        return int(fwd[i1]), int(fwd[i2])
-
-    def form(u, v):
-        y1, y2 = lift(u)
-        z1, z2 = lift(v)
-        val = Fbig.add_elems(Fbig.mul_elems(y1, z2),
-                             Fbig.neg_elem(Fbig.mul_elems(y2, z1)))
-        return int(tr_big_mid[val])
-
-    B = _symplectic_basis(F, d, form)
+    Y = np.zeros((d, 2), dtype=np.int64)    # row i: the lift (y1, y2) of e_i
+    Y[:s, 0] = Y[s:, 1] = fwd[F.q ** np.arange(s)]
+    gram = tr_big_mid[lm.form_matrix(Fbig, Y, lm.standard_symplectic(Fbig, 2),
+                                     Y)]
+    B = _symplectic_basis(F, gram)
     Binv = lm.mat_inv(F, B)
 
     E1 = np.array(G1.group.elems, dtype=np.int64)
-    c1 = back[E1[:, 0]]
-    c2 = back[E1[:, 1]]
-    U = np.empty((G1.group.n, d), dtype=np.int64)
-    for j in range(s):
-        U[:, j] = (c1 // F.q ** j) % F.q
-        U[:, s + j] = (c2 // F.q ** j) % F.q
+    U = np.hstack([digits[back[E1[:, 0]]], digits[back[E1[:, 1]]]])
     C = lm.vec_batch_apply(F, U, Binv)
-    g2index = {el: i for i, el in enumerate(G2.group.elems)}
-    psi = np.array([g2index[tuple(row) + (int(z),)]
-                    for row, z in zip(C.tolist(), E1[:, 2])], dtype=np.int64)
+    # G2's codes are its tuples in lexicographic order
+    psi = np.ravel_multi_index(np.hstack([C, E1[:, 2:]]).T,
+                               [F.q] * d + [F0.q])
 
     bijective = np.array_equal(np.sort(psi), np.arange(G1.group.n))
     hom = True

@@ -190,10 +190,18 @@ def test_criterion_8_aut_at_order_512():
     """The two order-512 catalog groups, line 4 at n = 3 (norm-512) and
     line 5 (trace-512), have automorphism groups of different orders, so
     they are not isomorphic: a proof independent of the layer-map
-    search of the irredundancy check."""
+    search of the irredundancy check.  Each has three Aut-orbits, and
+    omega_exact on the family action agrees."""
     t0 = time.time()
-    norm = brute_force_aut(cons.suzuki_B(3).group)
-    trace = brute_force_aut(cons.dornhoff_P().group)
+    auts = []
+    for inst in (cons.suzuki_B(3), cons.dornhoff_P()):
+        G = inst.group
+        aut = brute_force_aut(G)
+        assert orbits(G, aut)["count"] == 3, inst.tag
+        om = omega_exact(G, inst.acts, caut=vs._caut_or_none(G))
+        assert om["exact"] == 3, inst.tag
+        auts.append(aut)
+    norm, trace = auts
     assert len(norm) == 99090432
     assert len(trace) == 16515072
     _stamp("8 (Aut at order 512)", t0, "|Aut| %d and %d"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,46 @@ def test_build_checks_params_against_the_family_schema():
                            ("no-such-family", {})):
         with pytest.raises(ValueError):
             cons.build(family, params)
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<i8")
+                          .tobytes()).hexdigest()[:32]
+
+
+# sha256 prefixes of the multiplication table and of the action's
+# permutation rows, as int64 little-endian bytes
+TABLE_PINS = {
+    ("es2", 1, "+"): ("5359c50283b917a56695405a73bef51b",
+                      "4c32491596bc927ec4fdbb3c3e27d040"),
+    ("es2", 1, "-"): ("9a2ee5146c11f4b9255cac57e2934def",
+                      "55439196b4d8bb421b5aca587406655a"),
+    ("es2", 2, "+"): ("e1a1f5ffbae209c2c4eb3e1c8ad0e847",
+                      "49dff77c9b94e0b868839a48b01fad39"),
+    ("es2", 2, "-"): ("5122ed61c165a19e6a65fad6fd0c0fd0",
+                      "194b9835d55de63dc553e6c552a78992"),
+    ("es2", 3, "+"): ("5d7fd0a134179e05b19c842cc5ceb437",
+                      "86e3ab1760ce44230853629ab973cc44"),
+    ("es2", 3, "-"): ("a090ecd7335f4f1f6e476fd9ce2a220f",
+                      "33417823851e450d7a2e120546dae63e"),
+    ("heis", (3, 1), (3, 1), 2): ("fb8369ed57bac3bd286ede06976118eb",
+                                  "fc686e39c5733cfb6c6160ecd5a8335c"),
+    ("heis", (5, 1), (5, 1), 2): ("163f1f0ae419d8b68e480b4fa375d176",
+                                  "ac904745389798c60282e3d8150e7c5f"),
+    ("heis", (3, 2), (3, 1), 2): ("f48f65adfc5937dab082dca25e461e33",
+                                  "7bb0b461b74d02c21a912a3d208d274e"),
+    ("heis", (3, 1), (3, 1), 4): ("9bc8d6a51be1a3b04abc2e0d4b48a5b9",
+                                  "3c0274788081a4bc80b237585147b0ca"),
+    ("heis", (3, 2), (3, 2), 2): ("ec2677e2c3f291fb084363f9f781bdfa",
+                                  "b3cc33ba39cb77762490988b2e203327"),
+    ("heis", (7, 1), (7, 1), 2): ("bb9eaa3b26b58ba65faabe1b69552dcf",
+                                  "55258cd987d0817bf3437e9fcdee0d0f"),
+}
+
+
+@pytest.mark.parametrize("key", list(TABLE_PINS), ids=lambda key: "-".join(
+    str(x).replace(" ", "") for x in key))
+def test_table_and_action_pinned(key):
+    make = cons.extraspecial2 if key[0] == "es2" else cons.heisenberg_trace
+    inst = make(*key[1:])
+    assert (_sha(inst.group.mul), _sha(inst.acts.perms)) == TABLE_PINS[key]

@@ -397,7 +397,7 @@ def test_lattice_closes_once_per_double_coset_class(build, size, most,
     (lambda: _table_cyclic(576).all_subgroups(), 576, 512),
     (lambda: ge.find_isomorphism(_table_cyclic(4), _table_cyclic(1025)),
      1025, 1024),
-    (lambda: ge.all_automorphisms(_table_cyclic(12), cap=10), 12, 10),
+    (lambda: ge.all_automorphisms(_table_cyclic(513)), 513, 512),
     (lambda: om.holomorph_rank(_table_cyclic(65)), 65, 64),
     (lambda: om.brute_force_aut(_table_cyclic(1024)), 1024, 512),
 ], ids=["lattice", "isomorphism", "automorphisms", "holomorph",
@@ -476,6 +476,15 @@ def test_gl3_tower_core_in_bounded_memory(gl3):
     core, core_mb = _traced_peak_mb(lambda: ge.characteristic_core(H))
     assert [len(g) for g in core["gamma"]] == [2187, 81, 3, 1]
     assert built_mb < 8 and core_mb < 8
+
+
+@pytest.mark.parametrize("codes", [[0, 1, 1, 2], [0, 2, 1, 3]],
+                         ids=["duplicate", "unsorted"])
+def test_element_codes_must_increase(codes):
+    """Duplicate codes are refused by the same check as unsorted ones."""
+    i = np.arange(4)
+    with pytest.raises(ValueError, match="sorted"):
+        ge.FiniteGroup(codes, (i[:, None] + i[None, :]) % 4)
 
 
 @pytest.mark.parametrize("n", [8, 300])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -149,6 +150,29 @@ def test_gfgf_smallest():
     assert w["bijective"] and w["homomorphism"]
     assert w["oracle"] == "independent-search-agrees"
     assert w["order"] == 27
+
+
+# sha256 prefix of json.dumps of the report without wall_ms, for triples
+# outside the battery (and so outside the frozen answers); d = 4 and 6
+# rebase onto a symplectic basis that is not the unit basis
+GFGF_PINS = {
+    (5, 2, 1): "b0b5ab70ee208769199018e878e0fc87",
+    (3, 6, 1): "081ccd3e66b95136806188328a15700d",
+    (9, 2, 1): "2f97b561035badfec419f0a632733f3c",
+    (5, 4, 1): "92e961be510bc09c1f508b054a9452cb",
+    (7, 2, 1): "f80d7c2221de8ae09fc95955fe445bfd",
+}
+
+
+@pytest.mark.parametrize("triple", list(GFGF_PINS),
+                         ids=["q=%d,d=%d,e=%d" % t for t in GFGF_PINS])
+def test_gfgf_report_pinned(triple):
+    rep = vs.verify_gfgf_iso(*triple)
+    rep.pop("wall_ms")
+    text = json.dumps(rep)
+    assert rep["status"] == vs.VERIFIED, text
+    assert hashlib.sha256(text.encode()).hexdigest()[:32] == \
+        GFGF_PINS[triple], text
 
 
 def test_run_job_dispatch():
@@ -403,10 +427,10 @@ def test_map_search_node_cap_trips_where_it_did(pair_512, monkeypatch,
 def _break_explicit_map(monkeypatch):
     real = vs._symplectic_basis
 
-    def rescaled(F, d, form):
+    def rescaled(F, gram):
         # b_0 -> -b_0: still a basis, no longer symplectic
-        B = real(F, d, form).copy()
-        B[0] = vs._vec_scale(F, B[0], int(F.neg[1]))
+        B = real(F, gram).copy()
+        B[0] = F.mul[B[0], F.neg[1]]
         return B
 
     monkeypatch.setattr(vs, "_symplectic_basis", rescaled)
