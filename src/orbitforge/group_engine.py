@@ -10,18 +10,25 @@ identity and inverses, and associativity by Light's test on a generating
 set S, at n^2 * |S| cost for every order.  S is irredundant (a greedy
 pick, then a reverse pass that drops each generator the rest still
 generate), so a p-group gets d(G) = log_p |G : Phi(G)| generators, and
-everything priced per generator scales with d(G).  The center is the
-centralizer of S; G', the lower central terms and a p-group's Frattini
-subgroup are normal closures of commutators and p-th powers of
-generators.  A non-p-group's Frattini subgroup is the intersection of
-its maximal subgroups, read off the whole subgroup lattice; the lattice
-walk closes <H, g> once per class H{g^k : gcd(k, |g|) = 1}H, since every
-member of that class gives the same subgroup.  Caps: the lattice at |G| <= 512,
-isomorphism search at |G| <= 1024, and Aut(G) at |G| <= 512, found as
-strong generators plus its order by an exhaustive base-image backtrack
-on the base S.  Both searches evaluate candidate generator images one
-BFS depth of <S> at a time and drop a candidate at the first depth
-where a relation fails; every hit is then proved by hom_on_generators.
+everything priced per generator scales with d(G).  Conjugacy classes are
+the orbits of conjugation by another generating set S' (greedy by
+element order, then index, since S breaks ties by class size), at |S'| n
+cells.  They are labelled before Light's test, on a table not yet proved
+associative; there they only order the candidates for S, and Light's
+proof needs only some generating set, so no wrong label lets a non-group
+pass.  The center is the centralizer of S; G', the lower central terms
+and a p-group's Frattini subgroup are normal closures of commutators and
+p-th powers of generators.  A non-p-group's Frattini subgroup is the
+intersection of its maximal subgroups, read off the whole subgroup
+lattice; the lattice walk closes <H, g> once per class
+H{g^k : gcd(k, |g|) = 1}H, since every member of that class gives the
+same subgroup.
+Caps: the lattice at |G| <= 512, isomorphism search at |G| <= 1024, and
+Aut(G) at |G| <= 512, found as strong generators plus its order by an
+exhaustive base-image backtrack on the base S.  Both searches evaluate
+candidate generator images one BFS depth of <S> at a time and drop a
+candidate at the first depth where a relation fails; every hit is then
+proved by hom_on_generators.
 """
 
 import math
@@ -99,11 +106,19 @@ class FiniteGroup:
         # associative.  The sequence is well defined on any Latin square
         # with an identity: right multiplication is a permutation, so
         # orders() ends, and classes and closures are sets of entries.
-        for s in self.generating_sequence():
+        # Both sides gather into two blocks allocated once; the entries
+        # are in range, so mode="clip" lets np.take write in place.
+        S = self.generating_sequence()
+        lhs = np.empty((min(step, n), n), dtype=np.int64)
+        rhs = np.empty_like(lhs)
+        for s in S:
             sy = mul[s]
             for lo in range(0, n, step):
-                xs = mul[lo:lo + step, s]
-                if not np.array_equal(mul[xs], mul[lo:lo + step][:, sy]):
+                rows = mul[lo:lo + step]
+                m = len(rows)
+                np.take(mul, rows[:, s], axis=0, out=lhs[:m], mode="clip")
+                np.take(rows, sy, axis=1, out=rhs[:m], mode="clip")
+                if not np.array_equal(lhs[:m], rhs[:m]):
                     raise ValueError("associativity fails at generator %d"
                                      % s)
 
@@ -143,19 +158,26 @@ class FiniteGroup:
         return mul[mul[inv[a], inv[b]], mul[a, b]]
 
     def conjugation_perm(self, g):
-        return self.mul[self.inv[g]][self.mul[:, g]]
+        """Row t is conjugation x -> g[t]^-1 x g[t], for an index array
+        g."""
+        g = np.asarray(g, dtype=np.int64)
+        return self.mul[self.inv[g][:, None], self.mul[:, g].T]
 
     def class_labels(self):
-        """Conjugacy class labels, one block of conjugations at a time."""
+        """Conjugacy class labels: the orbits of conjugation by a
+        generating set S', one orbit_labels call on |S'| n cells.  The
+        conjugations by S' generate Inn(G), so their orbits are the
+        classes.  S' is the greedy pick by highest order, then index;
+        generating_sequence cannot supply it, since its tie-break reads
+        these labels.  Before Light's test the table may not be a group,
+        but there the labels only order generating_sequence's candidates,
+        and Light's proof holds on any sequence whose closure is the
+        table, so a wrong label cannot let a non-group pass."""
         if "class_labels" not in self._cache:
-            n, mul, lab = self.n, self.mul, None
-            step = max(1, BLOCK_CELLS // n)
-            for lo in range(0, n, step):
-                g = np.arange(lo, min(lo + step, n))
-                # row t is conjugation_perm(g[t])
-                lab = orbit_labels(mul[self.inv[g][:, None], mul[:, g].T], n,
-                                   start=lab)
-            self._cache["class_labels"] = lab
+            cand = np.argsort(-self.orders(), kind="stable")
+            S = self.greedy_generators(cand, [self.e])
+            self._cache["class_labels"] = orbit_labels(
+                self.conjugation_perm(S), self.n)
         return self._cache["class_labels"]
 
     def class_sizes(self):

@@ -60,9 +60,7 @@ def verify_automorphism(G, perm):
 
 def inner_automorphisms(G):
     """Conjugations by a generating sequence (enough for orbit purposes)."""
-    gens = G.generating_sequence()
-    perms = np.array([G.conjugation_perm(g) for g in gens],
-                     dtype=np.int64).reshape(len(gens), G.n)
+    perms = G.conjugation_perm(G.generating_sequence())
     return AutomorphismSet(G, perms, verify=False)
 
 

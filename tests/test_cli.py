@@ -295,16 +295,37 @@ def test_field_without_tables_exits_1(argv, capsys):
     assert "exceeds TABLE_CAP 2048" in capsys.readouterr().err
 
 
-def test_module_entrypoint():
-    # the child imports the same orbitforge as this process, installed or
-    # put on sys.path by pytest's `pythonpath` setting
+def _fresh_cli(argv):
+    """Run the CLI in a child process.  The child imports the same
+    orbitforge as this process, installed or put on sys.path by pytest's
+    `pythonpath` setting."""
     src = os.path.dirname(os.path.dirname(orbitforge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "orbitforge.cli", "verify-line", "4",
-         "--n", "1", "--json"],
-        capture_output=True, text=True, timeout=300, env=env)
+    return subprocess.run([sys.executable, "-m", "orbitforge.cli"] + argv,
+                          capture_output=True, text=True, timeout=300,
+                          env=env)
+
+
+def test_module_entrypoint():
+    proc = _fresh_cli(["verify-line", "4", "--n", "1", "--json"])
     assert proc.returncode == 0
     rep = json.loads(proc.stdout.strip())
     assert rep["status"] == "verified"
+
+
+def test_calls_in_one_process_match_fresh_processes():
+    # one call must not change the next: the parser is built once per
+    # process, and each report equals the same call's run alone
+    argvs = [["verify-line", "2", "--p", "2", "--r", "3", "--json"],
+             ["hering-check", "sl", "--d", "3", "--q", "3", "--json"],
+             ["verify-line", "1", "--p", "2", "--n", "1", "--json"]]
+    in_process = [run_cli(argv) for argv in argvs]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, (code, text) in zip(argvs, in_process):
+        proc = _fresh_cli(argv)
+        assert code == proc.returncode == 0
+        shared, alone = json.loads(text), json.loads(proc.stdout)
+        shared.pop("wall_ms")
+        alone.pop("wall_ms")
+        assert shared == alone, argv

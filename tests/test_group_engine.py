@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -265,22 +266,97 @@ def test_find_isomorphism_proof_survives_optimize():
         proc.stderr
 
 
-def test_class_labels_in_blocks(monkeypatch):
-    G = cons.dornhoff_P().group
-    assert G.n >= 512
-    perms = np.array([G.conjugation_perm(g) for g in range(G.n)])
-    ref = ge.orbit_labels(perms, G.n)
-    sizes = []
+def _all_conjugation_labels(G):
+    """Classes from conjugation by every element, a block at a time."""
+    lab, step = None, max(1, ge.BLOCK_CELLS // G.n)
+    for lo in range(0, G.n, step):
+        g = np.arange(lo, min(lo + step, G.n))
+        lab = ge.orbit_labels(G.conjugation_perm(g), G.n, start=lab)
+    return lab
+
+
+@pytest.mark.parametrize("build", [
+    lambda: perm_group([(1, 2, 3, 0), (1, 0, 2, 3)]),
+    vs.q8_on_c3c3,
+    lambda: cons.line2_frobenius(2, 5, 1, 1).group,
+    lambda: cons.dornhoff_P().group,
+    None,
+], ids=["S4", "q8_on_c3c3", "line2_frobenius", "dornhoff_P", "gl3_tower"])
+def test_class_labels_by_generators(build, gl3, monkeypatch):
+    G = gl3 if build is None else build()
+    ref = _all_conjugation_labels(G)
+    orders = G.orders()
+    S = G.greedy_generators(sorted(range(G.n),
+                                   key=lambda i: (-int(orders[i]), i)), [G.e])
+    rows = []
     inner = ge.orbit_labels
 
-    def spy(block, n, start=None):
-        sizes.append(block.size)
-        return inner(block, n, start=start)
+    def spy(perms, n, start=None):
+        rows.append(np.array(perms))
+        return inner(perms, n, start=start)
 
     monkeypatch.setattr(ge, "orbit_labels", spy)
-    G._cache.pop("class_labels", None)    # the constructor may have filled it
+    G._cache.pop("class_labels", None)    # the constructor filled it
     assert np.array_equal(G.class_labels(), ref)
-    assert len(sizes) > 1 and max(sizes) <= ge.BLOCK_CELLS
+    # one call, one conjugation row per generator of S'
+    assert len(rows) == 1 and len(rows[0]) == len(S)
+    assert np.array_equal(rows[0], G.conjugation_perm(S))
+
+
+# generating_sequence() and a sha256 prefix of class_labels() for every
+# group the table-battery, iso-search and aut-oracle batteries build, as
+# the all-n-conjugation labels gave them: class sizes break the
+# sequence's ties, so a wrong label would reorder every search
+SEQUENCE_PINS = [
+    ("line1_abelian", (2, 1), 4, [1], "a1e03200f1f82ad2"),
+    ("line1_abelian", (3, 1), 9, [1], "419ce84f0e9d8926"),
+    ("line1_abelian", (2, 2), 16, [1, 4], "f23d672bb9b341f9"),
+    ("line1_abelian", (2, 3), 64, [1, 4, 16], "7a4644928f3a08db"),
+    ("line1_abelian", (5, 1), 25, [1], "2a0a16a7ce85c211"),
+    ("line2_frobenius", (2, 3, 1, 1), 12, [4, 5], "63b3c92a19b54450"),
+    ("line2_frobenius", (3, 2, 1, 1), 6, [1, 3], "d2c643e29acbe152"),
+    ("line2_frobenius", (2, 5, 1, 1), 80, [16, 17], "598746a75308ad7b"),
+    ("line2_frobenius", (2, 3, 2, 1), 576, [64, 65], "539c979ada73bea6"),
+    ("suzuki_A", (3, 1), 64, [8, 16, 32], "ad1c687d257aebfb"),
+    ("suzuki_A", (3, 2), 64, [8, 16, 32], "403c1e9c2d8c6855"),
+    ("suzuki_A", (5, 1), 1024, [32, 64, 128, 256, 512], "64d038787ef4700c"),
+    ("suzuki_B", (1, 0), 8, [2, 4], "283e78f1761b9b15"),
+    ("suzuki_B", (2, 0), 64, [4, 8, 16, 32], "a77ad347cd6ca060"),
+    ("suzuki_B", (2, 1), 64, [4, 8, 16, 32], "a77ad347cd6ca060"),
+    ("suzuki_B", (3, 0), 512, [8, 16, 32, 64, 128, 256], "6e0d02b57d06be93"),
+    ("dornhoff_P", (), 512, [8, 16, 32, 64, 128, 256], "6e0d02b57d06be93"),
+    ("sl3_pair", ((3, 1),), 729, [27, 81, 243], "388340432ed4adee"),
+    ("heisenberg_trace", ((3, 1), (3, 1), 2), 27, [3, 9], "b073da21c88fedc8"),
+    ("heisenberg_trace", ((3, 1), (3, 1), 4), 243, [3, 9, 27, 81],
+     "f2ee11b2e3abeb2b"),
+    ("heisenberg_trace", ((3, 2), (3, 1), 2), 243, [3, 9, 27, 81],
+     "f2ee11b2e3abeb2b"),
+    ("heisenberg_trace", ((3, 2), (3, 2), 2), 729, [9, 27, 81, 243],
+     "6f900e85d9ed5cd6"),
+    ("heisenberg_trace", ((5, 1), (5, 1), 2), 125, [5, 25], "904ea85aad6d6dd4"),
+    ("gl3_tower", None, 2187, [81, 243, 729], "e3d9af53df710d99"),
+    ("extraspecial2", (1, "+"), 8, [6, 2], "283e78f1761b9b15"),
+    ("extraspecial2", (2, "+"), 32, [6, 14, 22, 26], "286eef63e7444046"),
+    ("extraspecial2", (2, "-"), 32, [2, 4, 10, 18], "286eef63e7444046"),
+    ("q8_on_c3c3", None, 72, [4, 9], "4a2c07acad7c6262"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,args,order,gens,labels", SEQUENCE_PINS,
+    ids=[p[0] + str(p[1] or "").replace(" ", "").replace("'", "")
+         for p in SEQUENCE_PINS])
+def test_generating_sequence_pinned(name, args, order, gens, labels, gl3):
+    if name == "gl3_tower":
+        G = gl3
+    elif name == "q8_on_c3c3":
+        G = vs.q8_on_c3c3()
+    else:
+        G = getattr(cons, name)(*args).group
+    assert G.n == order
+    assert G.generating_sequence() == gens
+    lab = G.class_labels().astype("<i8").tobytes()
+    assert hashlib.sha256(lab).hexdigest()[:16] == labels
 
 
 def _table_cyclic(n):

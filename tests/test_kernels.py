@@ -116,7 +116,7 @@ def _streamed_cases():
     yield _random_perms(rng, 700, 300), 300
     G = cons.suzuki_B(3).group
     assert G.n == 512
-    conj = np.array([G.conjugation_perm(g) for g in range(G.n)])
+    conj = G.conjugation_perm(np.arange(G.n))
     yield conj, G.n
 
 
