@@ -424,7 +424,10 @@ def gl3_tower(F, F0, *, cap=None):
     F = field_create(*F) if isinstance(F, tuple) else F
     F0 = field_create(*F0) if isinstance(F0, tuple) else F0
     if (F.p, F.k) != (3, 1) or (F0.p, F0.k) != (3, 1):
-        raise ValueError("only the GF(3) tower fits the order cap")
+        q = max(F.q, F0.q)
+        raise ValueError("only the GF(3) tower fits the order cap %d: "
+                         "GF(%d) gives order %d^7 = %d"
+                         % (SIZE_CAP if cap is None else cap, q, q, q ** 7))
     _check_cap(3 ** 7, cap)
     coder = _Coder([3] * 7)
     D = coder.digits

@@ -710,6 +710,7 @@ def automorphism_group(G):
             gens = np.concatenate([gens, hit])
             lab = orbit_labels(hit, G.n, start=lab)
         order *= int(np.count_nonzero(lab == lab[base[j]]))
-    if PermGroup(gens, G.n).order() != order:
+    # the base is S: an automorphism fixing S fixes <S> = G
+    if PermGroup(gens, G.n, base).order() != order:
         raise AssertionError("strong generators do not give |Aut|")
     return gens, order

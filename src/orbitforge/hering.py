@@ -5,10 +5,12 @@ act on row vectors.  Transitivity certificates come from vector-orbit
 BFS, never from full group enumeration.  Group orders and solvable
 residuals come from stabilizer chains (permgroup) of the faithful action
 on the q^d vectors, so no element list is ever built; CLOSURE_CAP bounds
-the order any chain may reach.
+the order any chain may reach.  The chains' base is the d unit vectors,
+since a linear map fixing a basis is the identity, so an element is
+stripped as its d base images; the residual's candidates wait as base
+images too, and only the ones that join are built on all q^d vectors.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +36,17 @@ class MatrixGroupGens:
         return field_create(*self.field)
 
 
+def _check_vectors(q, d):
+    if q ** d > VECTOR_CAP:
+        raise ValueError("vector space exceeds cap %d: q^d = %d^%d = %d"
+                         % (VECTOR_CAP, q, d, q ** d))
+
+
 def _vector_perms(gens):
     F = gens.field_obj()
     d = gens.d
     n = F.q ** d
-    if n > VECTOR_CAP:
-        raise ValueError("vector space exceeds cap")
+    _check_vectors(F.q, d)
     weights = F.q ** np.arange(d - 1, -1, -1, dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
     V = (idx[:, None] // weights[None, :]) % F.q
@@ -53,8 +60,9 @@ def _vector_perms(gens):
 def group_order(gens, cap=CLOSURE_CAP):
     """Order of the generated matrix group, from a stabilizer chain of
     its faithful action on the vectors; ValueError once it passes cap."""
-    perms, n, _ = _vector_perms(gens)
-    return PermGroup(perms, n, cap).order()
+    perms, n, weights = _vector_perms(gens)
+    # weights index the unit vectors; a linear map fixing them is the identity
+    return PermGroup(perms, n, weights, cap).order()
 
 
 def transitive_on_nonzero(gens):
@@ -71,9 +79,10 @@ def transitive_on_nonzero(gens):
 def gammaL1_gens(p, m):
     """Multiplication by a primitive field element (a Singer generator,
     transitive on its own) plus the Frobenius matrix, as GF(p) maps."""
+    if p ** m > VECTOR_CAP:
+        raise ValueError("field exceeds vector cap %d: q = %d^%d = %d"
+                         % (VECTOR_CAP, p, m, p ** m))
     F = field_create(p, m)
-    if F.q > VECTOR_CAP:
-        raise ValueError("field exceeds vector cap")
     xi = element_of_order(F, F.q - 1) if F.q > 2 else 1
     basis = [F.from_digits([1 if t == i else 0 for t in range(m)])
              for i in range(m)]
@@ -103,8 +112,7 @@ def sp_gens(d, q):
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
     F = field_create(*pk)
-    if F.q ** d > VECTOR_CAP:
-        raise ValueError("vector space exceeds cap")
+    _check_vectors(F.q, d)
     gram = lm.standard_symplectic(F, d)
     mats = lm.symplectic_transvection_gens(F, d, gram)
     for M in mats:
@@ -119,8 +127,7 @@ def sl_gens(d, q):
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
     F = field_create(*pk)
-    if F.q ** d > VECTOR_CAP:
-        raise ValueError("vector space exceeds cap")
+    _check_vectors(F.q, d)
     mats = []
     for i in range(d):
         for j in range(d):
@@ -142,25 +149,42 @@ def solvable_residual(gens, cap=CLOSURE_CAP):
     the current generators: their conjugates by the current generators
     join until none is new.  A candidate joins only when the stabilizer
     chain built so far does not contain it, so each chain has only a
-    few generators; the orders come from the chains."""
-    perms, n, weights = _vector_perms(gens)
-    cur = list(perms)
-    order = PermGroup(cur, n, cap).order()
+    few generators; the orders come from the chains.  The candidates
+    wait as base images (the images of the unit vectors, a base since a
+    linear map fixing a basis is the identity), one block strip at a
+    time; only the one that joins is built as a full permutation, so
+    `der` comes out in the order of one candidate at a time."""
+    cur, n, base = _vector_perms(gens)
+    order = PermGroup(cur, n, base, cap).order()
     while True:
-        inv = [np.argsort(g) for g in cur]
-        der, chain = [], PermGroup([], n, cap)
-        for c in itertools.chain(
-                (b[a[bi[ai]]] for a, ai in zip(cur, inv)      # a^-1 b^-1 a b
-                 for b, bi in zip(cur, inv)),
-                (x[d[xi]] for d in der                  # x^-1 d x; der grows
-                 for x, xi in zip(cur, inv))):
-            if not chain.contains(c):
-                der.append(c)
-                chain = PermGroup(der, n, cap)
+        cur = np.asarray(cur)
+        inv, k = np.argsort(cur, axis=1), len(cur)
+        x = np.arange(k)
+        der, chain = [], PermGroup([], n, base, cap)
+        # the pending candidates in the order of one at a time: row
+        # (-1, a, b) of `src` is a^-1 b^-1 a b, row (d, -1, x) is
+        # x^-1 der[d] x, queued as der[d] joins
+        a, b = np.divmod(np.arange(k * k), k)
+        src = np.stack([np.full(k * k, -1), a, b], axis=1)
+        images = cur[b[:, None], cur[a[:, None],
+                                     inv[b[:, None], inv[a[:, None], base]]]]
+        while len(miss := np.flatnonzero(
+                np.logical_not(chain.members(images)))):
+            d, i, j = src[miss[0]]
+            g = cur[j][der[d][inv[j]]] if d >= 0 else \
+                cur[j][cur[i][inv[j][inv[i]]]]
+            if not chain.add(g):
+                raise AssertionError("block strip disagrees with the "
+                                     "full strip")
+            der.append(g)
+            src = np.concatenate([src[miss[1:]], np.stack(
+                [np.full(k, len(der) - 1), np.full(k, -1), x], axis=1)])
+            images = np.concatenate([images[miss[1:]],
+                                     cur[x[:, None], g[inv[:, base]]]])
         perfect = chain.order() == order
         if perfect or chain.order() == 1:
             # row r of a matrix is the image of the basis vector e_r
-            mats = [(g[weights][:, None] // weights % gens.field_obj().q)
+            mats = [(g[base][:, None] // base % gens.field_obj().q)
                     for g in cur] if perfect else [lm.identity_mat(gens.d)]
             return MatrixGroupGens(gens.field, gens.d, mats,
                                    gens.label + "^inf",

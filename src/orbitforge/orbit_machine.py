@@ -267,7 +267,9 @@ def central_automorphisms(G):
             if a[b] != expect:
                 raise AssertionError("displacement property fails")
     count = p ** (m_dim * n_dim)
-    if count <= (1 << 12) and PermGroup(acts.perms, G.n).order() != count:
+    # an automorphism fixing the generating sequence fixes all of G
+    if count <= (1 << 12) and PermGroup(
+            acts.perms, G.n, G.generating_sequence()).order() != count:
         raise AssertionError("central automorphism count mismatch")
     return acts, p, m_dim, n_dim, count
 
@@ -315,11 +317,17 @@ def induced_pair(G, N, acts):
 
     a_trans = transitive(a_perms, qn, e_q)
     b_trans = transitive(b_perms, len(N), e_n)
-    a_order = PermGroup(a_perms, qn).order()
-    b_order = PermGroup(b_perms, len(N)).order()
+    # bases: the images of S generate G/N, and a generating set of N
+    # generates N, so a map induced by an automorphism that fixes them
+    # is the identity
+    a_base = relabel[L[G.generating_sequence()]]
+    b_base = pos_in_N[G.greedy_generators(N, [G.e])]
+    a_order = PermGroup(a_perms, qn, a_base).order()
+    b_order = PermGroup(b_perms, len(N), b_base).order()
     # row layout [a-part raw | b-part + qn]: one permutation of both parts
     pair = np.concatenate([a_perms, b_perms + qn], axis=1)
-    j_order = PermGroup(pair, qn + len(N)).order()
+    j_order = PermGroup(pair, qn + len(N),
+                        np.concatenate([a_base, b_base + qn])).order()
     return {
         "A_perms": a_perms, "B_perms": b_perms,
         "A_transitive": bool(a_trans), "B_transitive": bool(b_trans),
@@ -344,9 +352,11 @@ def holomorph_rank(G, aut_set=None):
     """Rank of the holomorph acting on G: the number of orbits of
     <right translations, Aut(G)> on ordered pairs.  Aut(G) comes as
     generators, by default the strong generators of brute_force_aut; the
-    group they generate with the translations has the same pair orbits.
-    The pair permutations (x, y) -> (xg, yg) and (x, y) -> (a(x), a(y))
-    are built and labelled one kernel block at a time."""
+    group they generate with the translations has the same pair orbits,
+    and the translations by the generating sequence S generate all of
+    them.  The pair permutations (x, y) -> (xs, ys), s in S, and
+    (x, y) -> (a(x), a(y)) are built and labelled one kernel block at a
+    time."""
     if G.n > HOLOMORPH_CAP:
         raise ValueError("holomorph: group order %d exceeds cap %d"
                          % (G.n, HOLOMORPH_CAP))
@@ -355,7 +365,8 @@ def holomorph_rank(G, aut_set=None):
         aut_set = brute_force_aut(G)
     step = max(1, BLOCK_CELLS // (n * n))
     labels = None
-    for perms in (G.mul.T, aut_set.perms):  # row g of mul.T: x -> x*g
+    right = G.mul.T[G.generating_sequence() or [G.e]]  # row s: x -> x*s
+    for perms in (right, aut_set.perms):
         for lo in range(0, len(perms), step):
             blk = perms[lo:lo + step]
             pairs = (blk[:, :, None] * n + blk[:, None, :]).reshape(

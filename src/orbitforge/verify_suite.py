@@ -421,7 +421,8 @@ def special2_map_search(da, db):
         # count and the cap's trip point are those of one-at-a-time
         state["nodes"] += upto - done
         if state["nodes"] > MAP_SEARCH_NODE_CAP:
-            raise RuntimeError("search node cap exceeded")
+            raise RuntimeError("search node cap %d exceeded: %d nodes"
+                               % (MAP_SEARCH_NODE_CAP, state["nodes"]))
         return upto
 
     def rec(k, T):
@@ -596,7 +597,11 @@ def verify_four_orbit(family, params, *, cap=None):
     _reject_unknown(params, defaults, family)
     params = {k: type(v)(params.get(k, v)) for k, v in defaults.items()}
     if family == "gl3-tower" and params["q"] != 3:
-        raise ValueError("only q = 3 fits the construction cap")
+        q = params["q"]
+        raise ValueError("only q = 3 fits the construction cap %d: q = %d "
+                         "gives order %d^7 = %d"
+                         % (cons.SIZE_CAP if cap is None else cap, q, q,
+                            q ** 7))
     expect_orders = None
     witnesses = {}
     if build_as is None:

@@ -120,6 +120,13 @@ def test_sl3_pair_meta():
     assert inst.meta["W_order"] == 27 and inst.meta["V_order"] == 27
 
 
+def test_gl3_tower_refusal_names_cap_and_order():
+    with pytest.raises(ValueError, match=r"only the GF\(3\) tower fits the "
+                                         r"order cap 8192: GF\(2\) gives "
+                                         r"order 2\^7 = 128"):
+        cons.gl3_tower((2, 1), (2, 1))
+
+
 def test_gl3_tower_core():
     inst = cons.gl3_tower((3, 1), (3, 1))
     assert inst.group.n == 3 ** 7

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from orbitforge import hering as hr
 from orbitforge import linalg_mod as lm
 from orbitforge.gf_arith import field_create
+from orbitforge.permgroup import PermGroup
 
 
 def test_gammaL1_transitive():
@@ -63,6 +66,45 @@ def test_solvable_residual():
     assert res33.meta["order"] == 5616 and res33.meta["perfect"]
 
 
+def _residual_one_at_a_time(gens):
+    """solvable_residual's generators by the loop it replaces: each
+    candidate, in turn, joins when the chain so far lacks it."""
+    perms, n, base = hr._vector_perms(gens)
+    cur = list(perms)
+    order = PermGroup(cur, n, base).order()
+    while True:
+        inv = [np.argsort(g) for g in cur]
+        der, chain = [], PermGroup([], n, base)
+        comms = [b[a[bi[ai]]] for a, ai in zip(cur, inv)
+                 for b, bi in zip(cur, inv)]
+        for c in itertools.chain(comms, (x[d[xi]] for d in der
+                                         for x, xi in zip(cur, inv))):
+            if not chain.contains(c):
+                der.append(c)
+                chain.add(c)
+        if chain.order() in (order, 1):
+            return cur if chain.order() == order else []
+        cur, order = der, chain.order()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hr.sl2_5_search(19),    # perfect only after one step
+    lambda: hr.sp_gens(2, 3),       # solvable
+    lambda: hr.sl_gens(2, 4),
+], ids=["sl2-5(19)", "sp(2,3)", "sl(2,4)"])
+def test_residual_generators_in_one_at_a_time_order(make):
+    gens = make()
+    ref = _residual_one_at_a_time(gens)
+    res = hr.solvable_residual(gens)
+    if not ref:
+        assert not res.meta["perfect"]
+        return
+    _, _, base = hr._vector_perms(gens)
+    want = [g[base][:, None] // base % gens.field_obj().q for g in ref]
+    assert len(res.mats) == len(want)
+    assert all(np.array_equal(m, w) for m, w in zip(res.mats, want))
+
+
 def test_sl2_5_search():
     g = hr.sl2_5_search(11)
     assert g.meta == {"order": 120, "p": 11}
@@ -107,3 +149,21 @@ def test_orbit_sizes():
     assert n == 9
     for pr in perms:
         assert sorted(pr.tolist()) == list(range(n))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hr.sp_gens(2, 1031),
+    lambda: hr.sl_gens(3, 128),
+    lambda: hr._vector_perms(hr.MatrixGroupGens(
+        (2, 1), 21, [lm.identity_mat(21)], "big")),
+], ids=["sp_gens", "sl_gens", "vector_perms"])
+def test_vector_cap_refusal_names_cap_and_size(make):
+    with pytest.raises(ValueError, match=r"vector space exceeds cap 1048576: "
+                                         r"q\^d = \d+\^\d+ = \d+"):
+        make()
+
+
+def test_field_cap_refusal_names_cap_and_size():
+    with pytest.raises(ValueError, match=r"field exceeds vector cap 1048576: "
+                                         r"q = 2\^21 = 2097152"):
+        hr.gammaL1_gens(2, 21)

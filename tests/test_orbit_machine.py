@@ -199,7 +199,7 @@ def test_linear_split_layers():
 def test_brute_force_aut_is_group():
     Q8 = quat()
     aut = om.brute_force_aut(Q8)
-    group = PermGroup(aut.perms, 8)
+    group = PermGroup(aut.perms, 8, range(8))
     assert group.order() == len(aut) == 24
     assert all(group.contains(p) for p in ge.all_automorphisms(Q8))
 
@@ -231,5 +231,6 @@ def test_aut_generators_match_enumeration():
             assert om.holomorph_rank(G, aut) == \
                 om.holomorph_rank(G, listed), tag
         if len(full) <= 20000:
-            group = PermGroup(aut.perms, G.n)
-            assert all(group.contains(p) for p in full), tag
+            # with base range(n), the base images are the permutations
+            group = PermGroup(aut.perms, G.n, range(G.n))
+            assert group.members(full).all(), tag

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from orbitforge import constructions as cons
+from orbitforge import group_engine as ge
 from orbitforge import hering as hr
+from orbitforge import verify_suite as vs
 from orbitforge.permgroup import PermGroup
 
 
@@ -24,8 +27,9 @@ def _enumerate(gens, n):
 
 
 def _chain(gens):
-    perms, n, _ = hr._vector_perms(gens)
-    return PermGroup(perms, n)
+    # a linear map is determined by its images of the unit vectors
+    perms, n, weights = hr._vector_perms(gens)
+    return PermGroup(perms, n, weights)
 
 
 def test_orders_closed_formulas():
@@ -34,21 +38,21 @@ def test_orders_closed_formulas():
     assert _chain(hr.sp_gens(4, 3)).order() == 3 ** 4 * 8 * 80
     # SL(2, 4) = A_5 over a field that is not prime
     assert _chain(hr.sl_gens(2, 4)).order() == 60
-    s5 = PermGroup([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], 5)
+    s5 = PermGroup([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], 5, range(5))
     assert s5.order() == 120
-    assert PermGroup([], 4).order() == 1
-    assert PermGroup([[0, 1, 2, 3]], 4).order() == 1
+    assert PermGroup([], 4, range(4)).order() == 1
+    assert PermGroup([[0, 1, 2, 3]], 4, range(4)).order() == 1
 
 
 def test_contains():
-    a5 = PermGroup([[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]], 5)
+    a5 = PermGroup([[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]], 5, range(5))
     assert a5.order() == 60
     assert a5.contains([0, 1, 2, 3, 4])
     assert a5.contains([2, 0, 1, 3, 4])          # a 3-cycle
     assert a5.contains([1, 0, 3, 2, 4])          # two transpositions
     assert not a5.contains([1, 0, 2, 3, 4])      # one transposition
     assert not a5.contains([1, 2, 3, 0, 4])      # a 4-cycle
-    trivial = PermGroup([], 3)
+    trivial = PermGroup([], 3, range(3))
     assert trivial.contains([0, 1, 2])
     assert not trivial.contains([1, 0, 2])
 
@@ -67,7 +71,7 @@ def test_random_groups_match_enumeration():
                                     k + rng.permutation(n - k)])
                     for _ in range(2)]
         ref = _enumerate(gens, n)
-        G = PermGroup(gens, n)
+        G = PermGroup(gens, n, range(n))
         assert G.order() == len(ref)
         for _ in range(6):
             p = rng.permutation(n)
@@ -95,6 +99,89 @@ def test_entries_above_255_stay_distinct():
 
 def test_cap_refusal_names_cap_and_order():
     with pytest.raises(ValueError, match=r"reached (\d+), above the cap 10"):
-        PermGroup([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], 5, cap=10)
-    assert PermGroup([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], 5,
+        PermGroup([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], 5, range(5),
+                  cap=10)
+    assert PermGroup([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], 5, range(5),
                      cap=120).order() == 120
+
+
+def test_add_matches_enumeration():
+    """A chain grown one generator at a time by add() has the order of
+    the enumeration at every step, and add() says whether g was new."""
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 8))
+        gens = [rng.permutation(n) for _ in range(int(rng.integers(1, 5)))]
+        G = PermGroup([], n, range(n))
+        for i, g in enumerate(gens):
+            ref = _enumerate(gens[:i + 1], n)
+            was_in = G.contains(g)
+            assert G.add(g) == (not was_in)
+            assert G.order() == len(ref)
+            for p in list(ref)[:4]:
+                assert G.contains(p)
+        # a product of members is no longer new
+        assert not G.add(np.asarray(gens[0])[np.asarray(gens[-1])])
+
+
+def test_members_is_a_block_contains():
+    a5 = PermGroup([[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]], 5, range(5))
+    perms = np.array([[0, 1, 2, 3, 4], [2, 0, 1, 3, 4], [1, 0, 2, 3, 4],
+                      [1, 2, 3, 0, 4], [1, 0, 3, 2, 4]])
+    assert a5.members(perms).tolist() == [a5.contains(p) for p in perms] \
+        == [True, True, False, False, True]
+
+
+# the aut-oracle inventory: tag -> (constructor, arguments); None is
+# verify_suite.q8_on_c3c3
+ORACLE_GROUPS = {
+    "line1(2,1)": ("line1_abelian", (2, 1)),
+    "line1(3,1)": ("line1_abelian", (3, 1)),
+    "line1(2,2)": ("line1_abelian", (2, 2)),
+    "line1(5,1)": ("line1_abelian", (5, 1)),
+    "line1(2,3)": ("line1_abelian", (2, 3)),
+    "line2(2,3)": ("line2_frobenius", (2, 3, 1, 1)),
+    "line2(3,2)": ("line2_frobenius", (3, 2, 1, 1)),
+    "line2(2,5)": ("line2_frobenius", (2, 5, 1, 1)),
+    "line3(3,1)": ("suzuki_A", (3, 1)),
+    "line3(3,2)": ("suzuki_A", (3, 2)),
+    "line4(1)": ("suzuki_B", (1,)),
+    "line4(2)": ("suzuki_B", (2,)),
+    "line7(3,2,1,1)": ("heisenberg_trace", ((3, 1), (3, 1), 2)),
+    "line7(5,2,1,1)": ("heisenberg_trace", ((5, 1), (5, 1), 2)),
+    "es2(1,+)": ("extraspecial2", (1, "+")),
+    "es2(2,+)": ("extraspecial2", (2, "+")),
+    "es2(2,-)": ("extraspecial2", (2, "-")),
+    "q8_on_c3c3": (None, ()),
+}
+
+
+def _oracle_group(tag):
+    ctor, args = ORACLE_GROUPS[tag]
+    return vs.q8_on_c3c3() if ctor is None else \
+        getattr(cons, ctor)(*args).group
+
+
+@pytest.mark.parametrize("tag", sorted(ORACLE_GROUPS))
+def test_aut_chain_on_generating_sequence(tag):
+    """The generating sequence S is a base of Aut(G): the chain on S has
+    the order of the chain on every point, and automorphism_group's."""
+    G = _oracle_group(tag)
+    gens, order = ge.automorphism_group(G)
+    S = G.generating_sequence()
+    assert PermGroup(gens, G.n, S).order() == order
+    assert PermGroup(gens, G.n, range(G.n)).order() == order
+
+
+@pytest.mark.parametrize("tag", ["line1(2,2)", "es2(2,+)", "q8_on_c3c3"])
+def test_aut_cross_check_needs_a_base(tag, monkeypatch):
+    """S minus its last generator is no base of Aut(G): an automorphism
+    moving only that generator strips to the base and counts as the
+    identity, and the cross-check in automorphism_group must say so."""
+    def cut(gens, n, base, cap=None):
+        return PermGroup(gens, n, list(base)[:-1], cap)
+
+    monkeypatch.setattr(ge, "PermGroup", cut)
+    with pytest.raises(AssertionError,
+                       match="strong generators do not give"):
+        ge.automorphism_group(_oracle_group(tag))

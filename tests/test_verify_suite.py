@@ -411,6 +411,24 @@ def test_map_search_needs_an_invertible_tau():
     assert out["nodes"] == 9
 
 
+def test_map_search_node_cap_names_cap_and_count(monkeypatch):
+    monkeypatch.setattr(vs, "MAP_SEARCH_NODE_CAP", 5)
+    da = {"m": 2, "n": 3, "Q": np.array([0, 1, 2, 4])}
+    db = {"m": 2, "n": 3, "Q": np.array([0, 1, 2, 3])}
+    with pytest.raises(RuntimeError,
+                       match=r"search node cap 5 exceeded: (\d+) nodes") \
+            as err:
+        vs.special2_map_search(da, db)
+    assert int(str(err.value).split(": ")[1].split()[0]) > 5
+
+
+def test_gl3_tower_refusal_names_cap_and_order():
+    with pytest.raises(ValueError, match=r"only q = 3 fits the construction "
+                                         r"cap 8192: q = 5 gives order "
+                                         r"5\^7 = 78125"):
+        vs.verify_four_orbit("gl3-tower", {"q": 5})
+
+
 @pytest.mark.parametrize("cap,raises", [(269_576, True), (269_577, False)])
 def test_map_search_node_cap_trips_where_it_did(pair_512, monkeypatch,
                                                 cap, raises):
