@@ -67,8 +67,9 @@ def test_solvable_residual():
 
 
 def _residual_one_at_a_time(gens):
-    """solvable_residual's generators by the loop it replaces: each
-    candidate, in turn, joins when the chain so far lacks it."""
+    """solvable_residual's generators, one candidate at a time: each
+    joins when the chain so far lacks it.  The reference for the block
+    strips, which must give the same generators in the same order."""
     perms, n, base = hr._vector_perms(gens)
     cur = list(perms)
     order = PermGroup(cur, n, base).order()
