@@ -10,8 +10,7 @@ from .linalg_mod import (identity_mat, mat_det, mat_inv, nullspace_basis,
                          vec_batch_apply, wedge_power_matrix)
 from .group_engine import (CAYLEY_MAGIC, FiniteGroup, automorphism_group,
                            characteristic_core, export_cayley,
-                           find_isomorphism, group_from_oracle,
-                           import_cayley)
+                           find_isomorphism, import_cayley)
 from .orbit_machine import (AutomorphismSet, brute_force_aut,
                             central_automorphisms, holomorph_rank,
                             induced_pair, inner_automorphisms,
@@ -39,7 +38,7 @@ __all__ = [
     "wedge_power_matrix",
     "CAYLEY_MAGIC", "FiniteGroup", "automorphism_group",
     "characteristic_core", "export_cayley", "find_isomorphism",
-    "group_from_oracle", "import_cayley",
+    "import_cayley",
     "AutomorphismSet", "brute_force_aut", "central_automorphisms",
     "holomorph_rank", "induced_pair", "inner_automorphisms",
     "invariant_features", "linear_split", "omega_exact", "orbits",

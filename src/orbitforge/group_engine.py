@@ -5,13 +5,22 @@ ints) plus an (n, n) index table.  Everything downstream -- orders,
 center, conjugacy classes, derived and Frattini subgroups,
 and the isomorphism / automorphism search -- works on the table.
 
-Every table is proved a group on construction: Latin square, two-sided
-identity and inverses, and associativity by Light's test on a generating
-set S, at n^2 * |S| cost for every order.  S is irredundant (a greedy
-pick, then a reverse pass that drops each generator the rest still
-generate), so a p-group gets d(G) = log_p |G : Phi(G)| generators, and
-everything priced per generator scales with d(G).  Conjugacy classes are
-the orbits of conjugation by another generating set S' (greedy by
+Every table is proved a group on construction, and only the range check
+and Light's test read the whole table (n^2 * |S| cells for a generating
+set S, at every order).  The s that pass Light's test are closed under
+products and S generates the table, so it is associative (Clifford &
+Preston, The Algebraic Theory of Semigroups I, 1961, 1.2).  With a
+two-sided identity (the one row holding 0 in column 0) and the left
+inverses x^(o(x)-1) of the power walk that also gives the orders, it is
+a monoid with left inverses, hence a group and a Latin square.  S is
+picked before associativity is known, from the power walk, class labels
+and closures, and each of these ends on any in-range table: the walk
+stops at |G| steps, orbit labels only fall to a fixed point, and a
+closure is a breadth-first walk over a finite set.  S is irredundant (a
+greedy pick, then a reverse pass that drops each generator the rest
+still generate), so a p-group gets d(G) = log_p |G : Phi(G)| generators,
+and everything priced per generator scales with d(G).  Conjugacy classes
+are the orbits of conjugation by another generating set S' (greedy by
 element order, then index, since S breaks ties by class size), at |S'| n
 cells.  They are labelled before Light's test, on a table not yet proved
 associative; there they only order the candidates for S, and Light's
@@ -65,50 +74,54 @@ class FiniteGroup:
     # ------------------------------------------------------------- checks
 
     def _validate(self):
+        """Prove the table a group; only the range check and Light's test
+        read the whole table.  e is the one row holding 0 in column 0 (a
+        group's column is a permutation), checked two-sided.  The power
+        walk x^k = x^(k-1) x gives orders() and the left inverses inv[x] =
+        x^(o(x)-1); in a group it reaches e within |G| steps, so a walk
+        that overruns is refused.  Light's test then proves the table
+        associative, and a monoid with left inverses is a group, so every
+        row and column is a permutation.  The walk, the class labels and
+        the closures that pick S end on any in-range table (see the
+        module docstring)."""
         n, mul = self.n, self.mul
         ar = np.arange(n, dtype=np.int64)
         if mul.min() < 0 or mul.max() >= n:
             raise ValueError("table entries out of range")
-        # every pass over the whole table reads slabs of BLOCK_CELLS cells;
-        # a slab of rows (or of columns, as rows of the transpose) is
-        # Latin when scattering cell (r, v) to seen[r * n + v] sets every
-        # flag, since each of its m lines then holds all n values
-        step = max(1, BLOCK_CELLS // n)
-        cells = np.empty((min(step, n), n), dtype=np.int64)
-        seen = np.empty(cells.size, dtype=bool)
-        offs = ar[:step, None] * n
-        for lo in range(0, n, step):
-            for slab in (mul[lo:lo + step], mul[:, lo:lo + step].T):
-                m = len(slab)
-                np.add(slab, offs[:m], out=cells[:m])
-                seen[:m * n] = False
-                seen[cells[:m].ravel()] = True
-                if not seen[:m * n].all():
-                    raise ValueError("table is not a Latin square")
-        # freed before Light's test, whose blocks set the peak memory
-        del cells, seen
-        # only the row with 0 in column 0 can be a left identity
-        e = int(np.flatnonzero(mul[:, 0] == 0)[0])
+        zeros = np.flatnonzero(mul[:, 0] == 0)
+        if len(zeros) != 1:
+            raise ValueError("not a group: column 0 holds 0 in %d rows"
+                             % len(zeros))
+        e = int(zeros[0])
         if not (np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)):
             raise ValueError("no two-sided identity")
         self.e = e
-        # each row of a Latin square holds e exactly once
-        inv = np.concatenate([np.argmax(mul[lo:lo + step] == e, axis=1)
-                              for lo in range(0, n, step)])
-        if not np.all(mul[inv, ar] == e):
-            raise ValueError("left/right inverse mismatch")
+        orders = np.zeros(n, dtype=np.int64)
+        inv = np.empty(n, dtype=np.int64)
+        prev, cur = np.full(n, e, dtype=np.int64), ar
+        for k in range(1, n + 1):
+            hit = (cur == e) & (orders == 0)
+            orders[hit] = k
+            inv[hit] = prev[hit]
+            if np.all(orders):
+                break
+            prev, cur = cur, mul[cur, ar]
+        else:
+            raise ValueError("not a group: the powers of element %d do not "
+                             "return to the identity within |G| = %d steps"
+                             % (np.flatnonzero(orders == 0)[0], n))
+        self._cache["orders"] = orders
         self.inv = inv
         # Light's associativity test: (xs)y = x(sy) for every x, y and
         # every s of the generating sequence, rows of x in blocks.  The s
         # that pass are closed under products ((x(st))y = ((xs)t)y =
         # (xs)(ty) = x(s(ty)) = x((st)y)) and closure() builds the
         # generated set from products alone, so this proves the table
-        # associative.  The sequence is well defined on any Latin square
-        # with an identity: right multiplication is a permutation, so
-        # orders() ends, and classes and closures are sets of entries.
-        # Both sides gather into two blocks allocated once; the entries
-        # are in range, so mode="clip" lets np.take write in place.
+        # associative.  Both sides gather into two blocks allocated once;
+        # the entries are in range, so mode="clip" lets np.take write in
+        # place.
         S = self.generating_sequence()
+        step = max(1, BLOCK_CELLS // n)
         lhs = np.empty((min(step, n), n), dtype=np.int64)
         rhs = np.empty_like(lhs)
         for s in S:
@@ -125,20 +138,7 @@ class FiniteGroup:
     # -------------------------------------------------------------- basics
 
     def orders(self):
-        if "orders" not in self._cache:
-            n, mul = self.n, self.mul
-            ar = np.arange(n, dtype=np.int64)
-            out = np.zeros(n, dtype=np.int64)
-            cur = ar.copy()
-            k = 1
-            out[cur == self.e] = 1
-            while np.any(out == 0):
-                cur = mul[cur, ar]
-                k += 1
-                out[(cur == self.e) & (out == 0)] = k
-                if k > n:
-                    raise RuntimeError("order computation overran |G|")
-            self._cache["orders"] = out
+        """Element orders, from the power walk of _validate."""
         return self._cache["orders"]
 
     def exponent(self):
@@ -383,23 +383,6 @@ class FiniteGroup:
             if len(cur) == len(cand):
                 break
         return gens
-
-
-def group_from_oracle(elements, mul):
-    """Build a FiniteGroup from element codes and either a multiplication
-    callable on codes or a precomputed index table (elements then must
-    already be sorted)."""
-    if callable(mul):
-        elems = sorted(elements)
-        index = {c: i for i, c in enumerate(elems)}
-        n = len(elems)
-        table = np.empty((n, n), dtype=np.int64)
-        for i, a in enumerate(elems):
-            row = table[i]
-            for j, b in enumerate(elems):
-                row[j] = index[mul(a, b)]
-        return FiniteGroup(elems, table)
-    return FiniteGroup(elements, mul)
 
 
 def characteristic_core(G):

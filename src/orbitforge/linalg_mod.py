@@ -111,17 +111,6 @@ def wedge_basis(d, k):
     return list(itertools.combinations(range(d), k))
 
 
-def wedge_vec(F, u, v, d):
-    """Coordinates of u^v in the wedge basis (k = 2)."""
-    basis = wedge_basis(d, 2)
-    out = np.zeros(len(basis), dtype=np.int64)
-    for r, (i, j) in enumerate(basis):
-        a = F.mul_elems(int(u[i]), int(v[j]))
-        b = F.mul_elems(int(u[j]), int(v[i]))
-        out[r] = F.add_elems(a, F.neg_elem(b))
-    return out
-
-
 def wedge_power_matrix(F, g, k):
     d = g.shape[0]
     if k > d:

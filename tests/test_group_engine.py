@@ -15,10 +15,11 @@ from orbitforge import group_engine as ge
 from orbitforge import orbit_machine as om
 from orbitforge import verify_suite as vs
 from orbitforge.gf_arith import prime_power
+from helpers import group_from_oracle
 
 
 def cyclic(n):
-    return ge.group_from_oracle(list(range(n)), lambda a, b: (a + b) % n)
+    return group_from_oracle(list(range(n)), lambda a, b: (a + b) % n)
 
 
 def direct(orders):
@@ -27,7 +28,7 @@ def direct(orders):
     def mul(a, b):
         return tuple((x + y) % n for x, y, n in zip(a, b, orders))
 
-    return ge.group_from_oracle(elems, mul)
+    return group_from_oracle(elems, mul)
 
 
 def perm_group(gen_perms):
@@ -50,7 +51,7 @@ def perm_group(gen_perms):
     def mul(a, b):
         return tuple(a[b[i]] for i in range(n))
 
-    return ge.group_from_oracle(sorted(elems), mul)
+    return group_from_oracle(sorted(elems), mul)
 
 
 def quat():
@@ -75,7 +76,7 @@ def quat():
         return r.lstrip("-") if s == 1 else "-" + r.lstrip("-")
 
     idx = {nm: i for i, nm in enumerate(names)}
-    return ge.group_from_oracle(
+    return group_from_oracle(
         list(range(8)), lambda a, b: idx[umul(names[a], names[b])])
 
 
@@ -249,7 +250,8 @@ def test_find_isomorphism_proof_survives_optimize():
     script = "\n".join([
         "import numpy as np",
         "from orbitforge import group_engine as ge",
-        "G = ge.group_from_oracle(list(range(4)), lambda a, b: (a + b) % 4)",
+        "i = np.arange(4)",
+        "G = ge.FiniteGroup(list(range(4)), (i[:, None] + i) % 4)",
         "ge._HomSearch.run = lambda self: np.full((1, G.n), G.e)",
         "print(__debug__)",
         "try:",
@@ -303,6 +305,14 @@ def test_class_labels_by_generators(build, gl3, monkeypatch):
     assert np.array_equal(rows[0], G.conjugation_perm(S))
 
 
+def _pinned_group(name, args, gl3):
+    if name == "gl3_tower":
+        return gl3
+    if name == "q8_on_c3c3":
+        return vs.q8_on_c3c3()
+    return getattr(cons, name)(*args).group
+
+
 # generating_sequence() and a sha256 prefix of class_labels() for every
 # group the table-battery, iso-search and aut-oracle batteries build, as
 # the all-n-conjugation labels gave them: class sizes break the
@@ -347,16 +357,28 @@ SEQUENCE_PINS = [
     ids=[p[0] + str(p[1] or "").replace(" ", "").replace("'", "")
          for p in SEQUENCE_PINS])
 def test_generating_sequence_pinned(name, args, order, gens, labels, gl3):
-    if name == "gl3_tower":
-        G = gl3
-    elif name == "q8_on_c3c3":
-        G = vs.q8_on_c3c3()
-    else:
-        G = getattr(cons, name)(*args).group
+    G = _pinned_group(name, args, gl3)
     assert G.n == order
     assert G.generating_sequence() == gens
     lab = G.class_labels().astype("<i8").tobytes()
     assert hashlib.sha256(lab).hexdigest()[:16] == labels
+
+
+def test_inverses_and_orders_from_power_walk(gl3):
+    """On every pinned group, inv[x] = x^(o(x)-1) from the power walk is
+    the entry that a search of row x for e finds, and the orders are the
+    first k with x^k = e."""
+    for name, args, _, _, _ in SEQUENCE_PINS:
+        G = _pinned_group(name, args, gl3)
+        ar = np.arange(G.n)
+        assert G.inv.dtype == np.int64
+        assert np.array_equal(G.inv, np.argmax(G.mul == G.e, axis=1)), name
+        assert np.all(G.mul[G.inv, ar] == G.e), name
+        orders, cur = np.zeros(G.n, dtype=np.int64), ar
+        for k in range(1, G.exponent() + 1):
+            orders[(cur == G.e) & (orders == 0)] = k
+            cur = G.mul[cur, ar]
+        assert np.array_equal(G.orders(), orders), name
 
 
 def _table_cyclic(n):
@@ -566,12 +588,98 @@ def test_element_codes_must_increase(codes):
 @pytest.mark.parametrize("n", [8, 300])
 def test_latin_check_reads_columns(n):
     """Every row of this table is a permutation, but its last row copies
-    the first, so each column repeats an entry."""
+    the first, so each column repeats an entry; the identity check finds
+    0 twice in column 0."""
     mul = (np.arange(n)[:, None] + np.arange(n)) % n
     mul[-1] = mul[0]
     assert np.all(np.sort(mul, axis=1) == np.arange(n))
-    with pytest.raises(ValueError, match="not a Latin square"):
+    with pytest.raises(ValueError, match="column 0 holds 0 in 2 rows"):
         ge.FiniteGroup(list(range(n)), mul)
+
+
+def test_column_without_zero_is_refused():
+    """Column 0 of an all-ones table holds no 0: a ValueError that names
+    the count, not an IndexError."""
+    with pytest.raises(ValueError, match="column 0 holds 0 in 0 rows"):
+        ge.FiniteGroup(list(range(5)), np.ones((5, 5), dtype=np.int64))
+
+
+def test_monoid_without_inverses_is_refused():
+    """Z_4 under multiplication, relabelled so that 1 is index 0: an
+    associative table with a two-sided identity, but the powers of 0 and
+    2 never return to 1."""
+    # index i stands for the residue code[i]; code is an involution, so it
+    # also takes residues back to indices
+    code = np.array([1, 0, 2, 3])
+    mul = code[code[:, None] * code[None, :] % 4]
+    assert np.array_equal(mul[0], np.arange(4))
+    assert np.array_equal(mul[:, 0], np.arange(4))
+    with pytest.raises(ValueError, match="powers of element 1 do not "
+                       "return to the identity within \\|G\\| = 4"):
+        ge.FiniteGroup(list(range(4)), mul)
+
+
+def _reference_is_group(tables):
+    """For each (n, n) table of the (m, n, n) stack: Latin rows and
+    columns, a two-sided identity, and associativity on all n^3
+    triples."""
+    m, n, _ = tables.shape
+    ar = np.arange(n)
+    latin = (np.all(np.sort(tables, axis=2) == ar, axis=(1, 2)) &
+             np.all(np.sort(tables, axis=1) == ar[:, None], axis=(1, 2)))
+    ident = np.any(np.all(tables == ar, axis=2) &
+                   np.all(tables.transpose(0, 2, 1) == ar, axis=2), axis=1)
+    t = np.arange(m)[:, None, None, None]
+    a, b, c = np.meshgrid(ar, ar, ar, indexing="ij")
+    assoc = np.all(tables[t, tables[t, a, b], c] ==
+                   tables[t, a, tables[t, b, c]], axis=(1, 2, 3))
+    return latin & ident & assoc
+
+
+def _accepted(tables):
+    """Whether FiniteGroup accepts each table; any refusal other than a
+    ValueError propagates and fails the test."""
+    out = []
+    for mul in tables:
+        try:
+            ge.FiniteGroup(list(range(len(mul))), mul)
+        except ValueError:
+            out.append(False)
+        else:
+            out.append(True)
+    return np.array(out)
+
+
+def test_every_order_3_table_matches_reference():
+    """All 3^9 tables on {0, 1, 2}: FiniteGroup accepts exactly the
+    three labellings of Z_3 that the brute-force reference accepts."""
+    tables = np.array(list(itertools.product(range(3), repeat=9)),
+                      dtype=np.int64).reshape(-1, 3, 3)
+    ref = _reference_is_group(tables)
+    assert np.count_nonzero(ref) == 3
+    assert np.array_equal(_accepted(tables), ref)
+
+
+def test_order_4_tables_match_reference():
+    """Every labelled group table on {0, 1, 2, 3} (12 copies of Z_4 and 4
+    of the Klein group), plus a seeded sample of tables with identity 0
+    (row and column 0 fixed, the other nine entries random)."""
+    ar = np.arange(4)
+    groups = set()
+    for table in ((ar[:, None] + ar) % 4, ar[:, None] ^ ar):
+        for p in itertools.permutations(range(4)):
+            p = np.array(p)
+            groups.add(p[table[np.argsort(p)][:, np.argsort(p)]].tobytes())
+    groups = np.array([np.frombuffer(g, dtype=np.int64).reshape(4, 4)
+                       for g in sorted(groups)])
+    assert len(groups) == 16
+    sample = np.broadcast_to(ar[:, None], (3000, 4, 4)).copy()
+    sample[:, 0] = ar
+    sample[:, 1:, 1:] = np.random.RandomState(17).randint(0, 4, (3000, 3, 3))
+    tables = np.concatenate([groups, sample])
+    ref = _reference_is_group(tables)
+    assert np.all(ref[:16])
+    assert np.array_equal(_accepted(tables), ref)
 
 
 @pytest.mark.parametrize("family, params", [

@@ -7,6 +7,7 @@ import pytest
 
 from orbitforge import linalg_mod as lm
 from orbitforge.gf_arith import field_create
+from helpers import wedge_vec
 
 F2 = field_create(2, 1)
 F3 = field_create(3, 1)
@@ -89,9 +90,9 @@ def test_wedge_vec_compatible():
         g = rng.randint(0, 9, size=(3, 3)).astype(np.int64)
         if lm.mat_det(F9, g) == 0:
             continue
-        lhs = lm.wedge_vec(F9, lm.vec_batch_apply(F9, u, g),
+        lhs = wedge_vec(F9, lm.vec_batch_apply(F9, u, g),
                            lm.vec_batch_apply(F9, v, g), 3)
-        rhs = lm.vec_batch_apply(F9, lm.wedge_vec(F9, u, v, 3),
+        rhs = lm.vec_batch_apply(F9, wedge_vec(F9, u, v, 3),
                                  lm.wedge_power_matrix(F9, g, 2))
         assert np.array_equal(lhs, rhs)
 

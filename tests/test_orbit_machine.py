@@ -8,11 +8,12 @@ from orbitforge import group_engine as ge
 from orbitforge import orbit_machine as om
 from orbitforge import verify_suite as vs
 from orbitforge.permgroup import PermGroup
+from helpers import group_from_oracle
 from test_acceptance import _small_inventory
 
 
 def cyclic(n):
-    return ge.group_from_oracle(list(range(n)), lambda a, b: (a + b) % n)
+    return group_from_oracle(list(range(n)), lambda a, b: (a + b) % n)
 
 
 def direct(orders):
@@ -21,7 +22,7 @@ def direct(orders):
     def mul(a, b):
         return tuple((x + y) % n for x, y, n in zip(a, b, orders))
 
-    return ge.group_from_oracle(elems, mul)
+    return group_from_oracle(elems, mul)
 
 
 def perm_group(gen_perms):
@@ -43,7 +44,7 @@ def perm_group(gen_perms):
     def mul(a, b):
         return tuple(a[b[i]] for i in range(n))
 
-    return ge.group_from_oracle(sorted(elems), mul)
+    return group_from_oracle(sorted(elems), mul)
 
 
 def quat():

@@ -60,7 +60,7 @@ def test_square_layers_requires_special_2_group():
         vs._square_layers(heis)             # odd p
     import itertools
 
-    from orbitforge.group_engine import group_from_oracle
+    from helpers import group_from_oracle
     elems = list(itertools.product(range(4), range(2)))
     c4c2 = group_from_oracle(
         elems, lambda a, b: ((a[0] + b[0]) % 4, (a[1] + b[1]) % 2))
