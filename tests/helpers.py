@@ -14,7 +14,7 @@ def group_from_oracle(elements, mul):
     elems = sorted(elements)
     index = {c: i for i, c in enumerate(elems)}
     table = np.array([[index[mul(a, b)] for b in elems] for a in elems],
-                     dtype=np.int64).reshape(len(elems), len(elems))
+                     dtype=np.int64)
     return FiniteGroup(elems, table)
 
 
