@@ -3,7 +3,8 @@
 Two kernels live here, each with one plain-numpy implementation: orbit
 label propagation under a set of permutations, streamed in blocks, and
 subgroup closure over a multiplication table, a breadth-first walk from
-the generators at |<S>| * |S| table cells.
+the generators S and from `start`, members already known to lie in <S>
+(start a subset of <S>), at (|start| + |<S> - start|) * |S| table cells.
 """
 
 import numpy as np
@@ -63,23 +64,35 @@ def orbit_labels(perms, n, start=None):
 
 # ------------------------------------------------------------ subgroup closure
 
-def closure_subgroup(mul, seed):
+def closure_subgroup(mul, seed, start=()):
     """Sorted element indices of the subgroup generated by seed inside the
     finite group given by the full multiplication table mul.  seed must be
-    non-empty.
+    non-empty; start lists members already known to lie in <seed>, such
+    as the closure of a prefix of seed (start a subset of <seed>, not
+    checked).
 
-    Breadth-first walk under right multiplication by the seed: each new
-    element is multiplied once by every seed element, so the cost is
-    |<S>| * |S| table cells.  In a finite group the positive words in S
-    already form <S>, so the identity need not be in the seed."""
+    Breadth-first walk under right multiplication by the seed S from
+    S and start: each marked element is multiplied once by every seed
+    element, in one gather per round.  The products not yet marked are
+    marked and become the next frontier, each once: a scatter of their
+    positions keeps the one copy whose position landed, with no sort.
+    The cost is (|start| + |<S> - start|) * |S| table cells.  In a finite
+    group the positive words in S already form <S>, so the identity need
+    not be in the seed."""
     mul = np.ascontiguousarray(mul, dtype=np.int64)
     seed = np.unique(np.asarray(seed, dtype=np.int64))
-    assert seed.size > 0
+    if seed.size == 0:
+        raise ValueError("closure_subgroup: the seed is empty")
     inset = np.zeros(mul.shape[0], dtype=bool)
     inset[seed] = True
-    front = seed
+    inset[np.asarray(start, dtype=np.int64)] = True
+    front = np.flatnonzero(inset)
+    slot = np.empty(mul.shape[0], dtype=np.int64)
     while front.size:
-        prods = mul[np.ix_(front, seed)].ravel()
-        front = np.unique(prods[~inset[prods]])
-        inset[front] = True
+        prods = mul[front[:, None], seed].ravel()
+        new = prods[~inset[prods]]
+        inset[new] = True
+        pos = np.arange(new.size)
+        slot[new] = pos
+        front = new[slot[new] == pos]
     return np.flatnonzero(inset)

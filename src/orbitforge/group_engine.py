@@ -31,7 +31,9 @@ p-th powers of generators.  A non-p-group's Frattini subgroup is the
 intersection of its maximal subgroups, read off the whole subgroup
 lattice; the lattice walk closes <H, g> once per class
 H{g^k : gcd(k, |g|) = 1}H, since every member of that class gives the
-same subgroup.
+same subgroup, and grows it from H rather than from the generators
+alone.  The greedy pick and normal closures likewise grow each closure
+from the one before it.
 Caps: the lattice at |G| <= 512, isomorphism search at |G| <= 1024, and
 Aut(G) at |G| <= 512, found as strong generators plus its order by an
 exhaustive base-image backtrack on the base S.  Both searches evaluate
@@ -187,9 +189,10 @@ class FiniteGroup:
                                       return_counts=True)
         return counts[invidx]
 
-    def closure(self, seed):
+    def closure(self, seed, start=()):
+        """Sorted members of <seed>; start must lie in <seed>."""
         return closure_subgroup(self.mul, np.append(
-            np.asarray(seed, dtype=np.int64), self.e))
+            np.asarray(seed, dtype=np.int64), self.e), start)
 
     def normal_closure(self, seed):
         """(sorted members, generators) of the smallest normal subgroup K
@@ -206,7 +209,8 @@ class FiniteGroup:
             if inK[x]:
                 continue
             gens.append(x)
-            members = self.closure(gens)
+            # members closes gens[:-1], a prefix of gens
+            members = self.closure(gens, members)
             inK[members] = True
             queue.extend(self.mul[self.mul[self.inv[S], x], S].tolist())
         return members, gens
@@ -273,9 +277,10 @@ class FiniteGroup:
                     if covered[g]:
                         continue
                     P = powers[units[int(orders[g])], g]
-                    X = np.unique(mul[np.ix_(H, P)])
-                    covered[mul[np.ix_(X, H)]] = True
-                    K = closure_subgroup(mul, hgens + [g])
+                    X = np.unique(mul[H[:, None], P])
+                    covered[mul[X[:, None], H]] = True
+                    # H closes hgens, a prefix of hgens + [g]
+                    K = closure_subgroup(mul, hgens + [g], H)
                     key = K.tobytes()
                     if key not in seen:
                         seen[key] = K
@@ -377,7 +382,8 @@ class FiniteGroup:
             if member[c]:
                 continue
             gens.append(c)
-            cur = self.closure(start + gens)
+            # cur closes start + gens[:-1], a prefix of start + gens
+            cur = self.closure(start + gens, cur)
             member[:] = False
             member[cur] = True
             if len(cur) == len(cand):

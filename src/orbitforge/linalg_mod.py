@@ -124,8 +124,8 @@ def wedge_power_matrix(F, g, k):
         raise ValueError("only k = 2 (or k = d) wedge powers are supported")
     # entry (r, s) is the 2x2 minor of g on rows basis[r], columns basis[s]
     i, j = np.array(wedge_basis(d, 2)).T
-    return F.add[F.mul[g[np.ix_(i, i)], g[np.ix_(j, j)]],
-                 F.neg[F.mul[g[np.ix_(i, j)], g[np.ix_(j, i)]]]]
+    r, c = i[:, None], j[:, None]
+    return F.add[F.mul[g[r, i], g[c, j]], F.neg[F.mul[g[r, j], g[c, i]]]]
 
 
 # --------------------------------------------- Sp generators and submodules

@@ -173,7 +173,7 @@ def _layer_coords(G, key, reps, basis, p):
                 frontier.append(reps[t])
     if (coords < 0).any():
         raise ValueError("layer coordinate walk incomplete")
-    prod = relabel[key[G.mul[np.ix_(reps, reps)]]]
+    prod = relabel[key[G.mul[reps[:, None], reps]]]
     if not np.array_equal(coords[prod],
                           (coords[:, None, :] + coords[None, :, :]) % p):
         raise AssertionError("layer coordinates are not additive")

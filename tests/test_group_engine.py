@@ -481,9 +481,9 @@ def test_lattice_closes_once_per_double_coset_class(build, size, most,
     calls = []
     inner = ge.closure_subgroup
 
-    def spy(mul, seed):
+    def spy(mul, seed, start=()):
         calls.append(seed)
-        return inner(mul, seed)
+        return inner(mul, seed, start)
 
     monkeypatch.setattr(ge, "closure_subgroup", spy)
     G._cache.pop("subgroups", None)

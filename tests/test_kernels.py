@@ -1,12 +1,16 @@
 """Kernels against references: the streamed orbit labels must equal one
 unblocked kernel run, the subgroup closure must equal a plain Python
-BFS, and the generator-row homomorphism proof must agree with the full
-table."""
+BFS from any start inside the result, and the generator-row
+homomorphism proof must agree with the full table."""
 
 import itertools
+import os
+import subprocess
+import sys
 from collections import deque
 
 import numpy as np
+import pytest
 
 from orbitforge import _kernels as K
 from orbitforge import constructions as cons
@@ -83,9 +87,15 @@ def test_closure_matches_bfs():
                   for k in (2, 3) for _ in range(10)]
         seeds = [s for s in seeds if e not in s]
         for seed in seeds:
-            got = K.closure_subgroup(mul, np.array(seed))
             ref = _bfs_closure(mul, seed)
-            assert got.tolist() == ref
+            prefix = seed[:max(1, len(seed) - 1)]
+            # members of <seed> without e: never a subgroup
+            part = rng.choice([x for x in ref if x != e],
+                              size=int(rng.integers(1, len(ref))),
+                              replace=False)
+            for start in ([], K.closure_subgroup(mul, prefix), ref, part):
+                got = K.closure_subgroup(mul, np.array(seed), start)
+                assert got.tolist() == ref
             # a whole member list closes to itself
             assert np.array_equal(K.closure_subgroup(mul, got), got)
     mul = _cyclic_mul(24)
@@ -97,6 +107,63 @@ def test_closure_matches_bfs():
     # one generator of Z_512: a 512-step walk
     assert np.array_equal(K.closure_subgroup(_cyclic_mul(512), [1]),
                           np.arange(512))
+    # a start that is no subgroup is walked, not just marked
+    assert K.closure_subgroup(_cyclic_mul(6), [1], [2]).tolist() == \
+        list(range(6))
+
+
+def test_closure_refuses_empty_seed_under_optimize():
+    # python -O strips assert statements, and an empty seed must still
+    # raise there rather than return an empty "subgroup"
+    script = "\n".join([
+        "from orbitforge import _kernels as K",
+        "print(__debug__)",
+        "try:",
+        "    K.closure_subgroup([[0]], [])",
+        "except ValueError as exc:",
+        "    print(exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(K.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout == "False\nclosure_subgroup: the seed is empty\n", \
+        proc.stderr
+
+
+_GROWERS = ("greedy_generators", "normal_closure", "all_subgroups")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cons.line2_frobenius(2, 5, 1, 1).group, vs.q8_on_c3c3,
+    lambda: cons.suzuki_B(2).group, lambda: cons.extraspecial2(2, "+").group],
+    ids=["line2_frobenius", "q8_on_c3c3", "suzuki_B", "extraspecial2"])
+def test_group_closures_from_start_match_scratch(build, monkeypatch):
+    """Every closure the group machinery grows from a known subgroup
+    equals the closure of the same seed from scratch, and each of the
+    three callers that pass a start does pass a non-empty one."""
+    inner = K.closure_subgroup
+    calls = []
+
+    def spy(mul, seed, start=()):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in _GROWERS:
+            frame = frame.f_back
+        caller = frame.f_code.co_name if frame is not None else None
+        got = inner(mul, seed, start)
+        calls.append((caller, len(start)))
+        assert np.array_equal(got, inner(mul, seed)), caller
+        return got
+
+    monkeypatch.setattr(ge, "closure_subgroup", spy)
+    G = build()
+    ge.characteristic_core(G)
+    G.all_subgroups()
+    G.class_labels()
+    G.generating_sequence()
+    for caller in _GROWERS:
+        assert any(c == caller and k for c, k in calls), caller
 
 
 def _transposition_perms(rng, k, n):
