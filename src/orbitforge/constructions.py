@@ -1,12 +1,20 @@
 """Explicit constructors for the group families under study.
 
 Every family is realized on tuple codes (field element indices or small
-residues), its multiplication table is built vectorized from coordinate
-formulas, one coordinate column at a time, and each structured
-automorphism generator attached to the family is verified against the
-table before it is returned.  A bilinear cocycle or form is evaluated
-through its Gram matrix (linalg_mod.form_matrix over a field, integer
-products mod 2 for the extraspecial 2-groups).
+residues), and each structured automorphism generator attached to the
+family is verified against the table before it is returned.
+
+The multiplication table is evaluated from the family's coordinate
+formulas on every pair (x, y), by _Coder.table: the (n, n) output is
+filled in row blocks of at most BLOCK_CELLS cells, and each coordinate
+term of the product is read from a small table over only the digits it
+depends on (a field's add or mul table, a cocycle on the grid of its
+two arguments, a form on the grid of vectors), expanded to the block by
+one row gather and one column gather (_outer).  A bilinear cocycle or
+form is evaluated once on its grid through its Gram matrix
+(linalg_mod.form_matrix over a field, integer products mod 2 for the
+extraspecial 2-groups).  gl3_tower alone fills its table column by
+column from its right-multiplication generators.
 
 FAMILIES maps each family name to a function whose signature is the
 family's parameter schema: names in report order, defaults for the
@@ -23,6 +31,7 @@ import numpy as np
 from . import linalg_mod as lm
 from .gf_arith import (TABLE_CAP, element_of_order, field_create, frob_table,
                        is_prime, prime_power, subfield_embed, trace_table)
+from ._kernels import BLOCK_CELLS
 from .group_engine import FiniteGroup
 from .orbit_machine import AutomorphismSet
 
@@ -55,7 +64,7 @@ class _Coder:
             self.digits[:, t] = (idx // w[t]) % self.shapes[t]
 
     def elems(self):
-        return [tuple(map(int, row)) for row in self.digits]
+        return list(map(tuple, self.digits.tolist()))
 
     def encode_cols(self, cols):
         """Codes of the tuples whose coordinate t is cols[t], by Horner's
@@ -67,6 +76,25 @@ class _Coder:
             out *= s
             out += next(cols)
         return out
+
+    def table(self, cols):
+        """The (n, n) table whose row x, column y is the code of the
+        product xy.  cols(r) yields the product's coordinates, each of
+        shape (len(r), n), for the rows r against every y; the rows are
+        taken in blocks of at most BLOCK_CELLS cells."""
+        n = self.n
+        out = np.empty((n, n), dtype=np.int64)
+        step = max(1, BLOCK_CELLS // n)
+        for lo in range(0, n, step):
+            r = slice(lo, min(lo + step, n))
+            out[r] = self.encode_cols(cols(r))
+        return out
+
+
+def _outer(T, a, b):
+    """T[a[i], b[j]] for every i, j: a small table expanded by one row
+    gather and one column gather."""
+    return T[a][:, b]
 
 
 def _check_cap(n, cap=None, *fields):
@@ -82,10 +110,9 @@ def _check_cap(n, cap=None, *fields):
 
 
 def _inverse_embedding(F_small, F_big):
-    emb = subfield_embed(F_small, F_big)
     inv = np.full(F_big.q, -1, dtype=np.int64)
-    inv[emb] = np.arange(F_small.q)
-    return emb, inv
+    inv[subfield_embed(F_small, F_big)] = np.arange(F_small.q)
+    return inv
 
 
 def _pick(arr, inv):
@@ -135,8 +162,10 @@ def line1_abelian(p, n, *, cap=None):
     psq = p * p
     coder = _Coder([psq] * n)
     D = coder.digits
-    table = coder.encode_cols((D[:, t][:, None] + D[:, t][None, :]) % psq
-                              for t in range(n))
+    res = np.arange(psq)
+    add = (res[:, None] + res) % psq
+    table = coder.table(lambda r: (_outer(add, D[r, t], D[:, t])
+                                   for t in range(n)))
     perms = []
     for M in _glq_generator_mats(field_create(p, 1), n):
         img = (D @ M.T) % psq  # row vector image with integer matrix, mod p^2
@@ -177,14 +206,19 @@ def line2_frobenius(p, r, ell, d, *, cap=None):
         lampow[t] = F.mul_elems(int(lampow[t - 1]), lam)
     coder = _Coder([e] + [q] * d)
     D = coder.digits
-    A, B = D[:, 0][:, None], D[:, 0][None, :]
+    res = np.arange(e)
+    add_e = (res[:, None] + res) % e
+    # coordinate t of xy reads (x_t, y_0, y_t): x_t lambda^(y_0) + y_t,
+    # a q x (e q) table keyed by x_t and y_0 q + y_t
+    twist = F.add[F.mul[:, lampow][:, :, None], np.arange(q)].reshape(q, e * q)
+    keys = [D[:, 0] * q + D[:, t] for t in range(1, d + 1)]
 
-    def cols():
-        yield (A + B) % e
-        for t in range(1, d + 1):
-            yield F.add[F.mul[D[:, t][:, None], lampow[B]], D[:, t][None, :]]
+    def cols(r):
+        yield _outer(add_e, D[r, 0], D[:, 0])
+        for t, k in enumerate(keys, 1):
+            yield _outer(twist, D[r, t], k)
 
-    table = coder.encode_cols(cols())
+    table = coder.table(cols)
     perms = []
     # GF(q)-linear maps on the vector part
     for M in _glq_generator_mats(F, d):
@@ -215,14 +249,14 @@ def suzuki_A(n, i, *, cap=None):
     th = frob_table(F, i)
     coder = _Coder([q, q])
     D = coder.digits
-    L1, L2 = D[:, 0][:, None], D[:, 0][None, :]
-    Z1, Z2 = D[:, 1][:, None], D[:, 1][None, :]
+    L, Z = D[:, 0], D[:, 1]
+    cocycle = F.mul[th]         # (l1, l2) -> l1^theta l2
 
-    def cols():
-        yield F.add[L1, L2]
-        yield F.add[F.add[Z1, Z2], F.mul[th[L1], L2]]
+    def cols(r):
+        yield _outer(F.add, L[r], L)
+        yield F.add[_outer(F.add, Z[r], Z), _outer(cocycle, L[r], L)]
 
-    table = coder.encode_cols(cols())
+    table = coder.table(cols)
     xi = element_of_order(F, q - 1)
     perms = []
     for a_exp, lam in ((0, xi), (1, 1)):
@@ -255,18 +289,18 @@ def suzuki_B(n, eps_choice=0, *, cap=None):
         raise ValueError("epsilon choice out of range")
     eps = choices[eps_choice]
     frq = frob_table(F2, n)
-    emb, inv_emb = _inverse_embedding(F, F2)
+    inv_emb = _inverse_embedding(F, F2)
     coder = _Coder([F2.q, q])
     D = coder.digits
-    L1, L2 = D[:, 0][:, None], D[:, 0][None, :]
-    Z1, Z2 = D[:, 1][:, None], D[:, 1][None, :]
+    L, Z = D[:, 0], D[:, 1]
     tr = trace_table(F2, n)     # x -> x + x^q, read in F
+    cocycle = tr[F2.mul[F2.mul[:, frq], eps]]
 
-    def cols():
-        yield F2.add[L1, L2]
-        yield F.add[F.add[Z1, Z2], tr[F2.mul[F2.mul[L1, frq[L2]], eps]]]
+    def cols(r):
+        yield _outer(F2.add, L[r], L)
+        yield F.add[_outer(F.add, Z[r], Z), _outer(cocycle, L[r], L)]
 
-    table = coder.encode_cols(cols())
+    table = coder.table(cols)
     # scaling by a generator mu of GF(q^2)^*: zeta scales by the norm
     mu = element_of_order(F2, F2.q - 1)
     norm_mu = int(_pick(np.array([F2.mul_elems(mu, int(frq[mu]))]),
@@ -294,18 +328,18 @@ def dornhoff_P(*, cap=None):
     F8 = field_create(2, 3)
     eps = element_of_order(F64, 63)
     tr = trace_table(F64, 3)    # x -> x + x^8, read in GF(8)
-    emb, inv_emb = _inverse_embedding(F8, F64)
+    inv_emb = _inverse_embedding(F8, F64)
     coder = _Coder([64, 8])
     D = coder.digits
-    L1, L2 = D[:, 0][:, None], D[:, 0][None, :]
-    Z1, Z2 = D[:, 1][:, None], D[:, 1][None, :]
+    L, Z = D[:, 0], D[:, 1]
+    squares = F64.mul[np.arange(64), np.arange(64)]
+    cocycle = tr[F64.mul[F64.mul[:, squares], eps]]
 
-    def cols():
-        yield F64.add[L1, L2]
-        yield F8.add[F8.add[Z1, Z2],
-                     tr[F64.mul[F64.mul[L1, F64.mul[L2, L2]], eps]]]
+    def cols(r):
+        yield _outer(F64.add, L[r], L)
+        yield F8.add[_outer(F8.add, Z[r], Z), _outer(cocycle, L[r], L)]
 
-    table = coder.encode_cols(cols())
+    table = coder.table(cols)
     eps3 = F64.pow_elem(eps, 3)
     eps9_in8 = int(_pick(np.array([F64.pow_elem(eps, 9)]), inv_emb)[0])
     psi = coder.encode_cols([F64.mul[D[:, 0], eps3],
@@ -337,15 +371,18 @@ def heisenberg_trace(F, F0, d, *, cap=None):
     coder = _Coder([F.q] * d + [F0.q])
     D = coder.digits
     V = D[:, :d]
+    # Tr f(v1, v2) on the grid of vectors, keyed by each element's V-code
+    VV = _Coder([F.q] * d).digits
+    form = tr[lm.form_matrix(F, VV, lm.standard_symplectic(F, d), VV)]
+    vcode = np.arange(coder.n) // F0.q
 
-    def cols():
+    def cols(r):
         for t in range(d):
-            yield F.add[V[:, t][:, None], V[:, t][None, :]]
-        J = lm.standard_symplectic(F, d)
-        yield F0.add[F0.add[D[:, d][:, None], D[:, d][None, :]],
-                     tr[lm.form_matrix(F, V, J, V)]]
+            yield _outer(F.add, V[r, t], V[:, t])
+        yield F0.add[_outer(F0.add, D[r, d], D[:, d]),
+                     _outer(form, vcode[r], vcode)]
 
-    table = coder.encode_cols(cols())
+    table = coder.table(cols)
     perms = []
     for g in lm.symplectic_transvection_gens(F, d):
         img = lm.vec_batch_apply(F, V, g)
@@ -387,18 +424,22 @@ def sl3_pair(F, *, cap=None):
     _check_cap(F.q ** 6, cap, F)
     coder = _Coder([F.q] * 6)
     D = coder.digits
+    # w-coordinate t of xy is x_t + y_t + x_i y_j - x_j y_i, (i, j) its
+    # wedge in the cyclic basis: a q^3 x q^3 table keyed by the digits
+    # (t, i, j) of x and of y
+    at, ai, aj = _Coder([F.q] * 3).digits.T
+    wedge = F.add[_outer(F.add, at, at),
+                  F.add[_outer(F.mul, ai, aj), F.neg[_outer(F.mul, aj, ai)]]]
+    keys = [D[:, t] * F.q ** 2 + D[:, i] * F.q + D[:, j]
+            for t, (i, j) in enumerate(lm.wedge_basis(3, 2), 3)]
 
-    def cols():
+    def cols(r):
         for t in range(3):
-            yield F.add[D[:, t][:, None], D[:, t][None, :]]
-        # wedge term added to the w-coordinates, cyclic basis
-        for t, (i, j) in enumerate(lm.wedge_basis(3, 2), 3):
-            yield F.add[F.add[D[:, t][:, None], D[:, t][None, :]],
-                        F.add[F.mul[D[:, i][:, None], D[:, j][None, :]],
-                              F.neg[F.mul[D[:, j][:, None],
-                                          D[:, i][None, :]]]]]
+            yield _outer(F.add, D[r, t], D[:, t])
+        for k in keys:
+            yield _outer(wedge, k[r], k)
 
-    table = coder.encode_cols(cols())
+    table = coder.table(cols)
     perms = []
     for g in _glq_generator_mats(F, 3):
         perms.append(coder.encode_cols(_gl3_action_cols(F, D, g)))
@@ -536,13 +577,18 @@ def extraspecial2(k, eps, *, cap=None):
     coder = _Coder([2] * (d + 1))
     D = coder.digits
     V = D[:, :d]
+    xor = np.array([[0, 1], [1, 0]])
+    # c(v1, v2) on the grid of vectors, keyed by each element's V-code
+    VV = _Coder([2] * d).digits
+    form = (VV @ beta @ VV.T) % 2
+    vcode = np.arange(coder.n) // 2
 
-    def cols():
+    def cols(r):
         for t in range(d):
-            yield V[:, t][:, None] ^ V[:, t][None, :]
-        yield (D[:, d][:, None] + D[:, d][None, :] + V @ beta @ V.T) % 2
+            yield _outer(xor, V[r, t], V[:, t])
+        yield _outer(xor, D[r, d], D[:, d]) ^ _outer(form, vcode[r], vcode)
 
-    table = coder.encode_cols(cols())
+    table = coder.table(cols)
     # every vector of GF(2)^d, bit t of x as coordinate t, and Q on it
     X = (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1
     Q = ((X @ beta) * X).sum(axis=1) % 2

@@ -28,8 +28,8 @@ def vec_batch_apply(F, V, M):
     """Each row of V (shape (m, d), or a single row of shape (d,)) times
     M; a matrix product when V is a matrix."""
     V = np.asarray(V, dtype=np.int64)
-    out = np.zeros(V.shape[:-1] + (M.shape[1],), dtype=np.int64)
-    for i in range(M.shape[0]):
+    out = F.mul[V[..., 0, None], M[0]]
+    for i in range(1, M.shape[0]):
         out = F.add[out, F.mul[V[..., i, None], M[i]]]
     return out
 

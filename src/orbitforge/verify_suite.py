@@ -316,7 +316,7 @@ def verify_gfgf_iso(q, d, e, *, cap=None):
     for lo in range(0, G1.group.n, step):
         blk = slice(lo, min(lo + step, G1.group.n))
         if not np.array_equal(psi[G1.group.mul[blk]],
-                              G2.group.mul[psi[blk, None], psi[None, :]]):
+                              G2.group.mul[psi[blk]][:, psi]):
             hom = False
             break
 

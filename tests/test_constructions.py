@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,12 +198,94 @@ TABLE_PINS = {
                                   "b3cc33ba39cb77762490988b2e203327"),
     ("heis", (7, 1), (7, 1), 2): ("bb9eaa3b26b58ba65faabe1b69552dcf",
                                   "55258cd987d0817bf3437e9fcdee0d0f"),
+    ("line1", 2, 1): ("6fc74d0f65895396cdb611ac0cfc55c2",
+                      "a1e03200f1f82ad2c1cec8795c271aae"),
+    ("line1", 3, 1): ("043e711f8858a640cf58fef5a260eb57",
+                      "e58409572058e865f1a449e242483dad"),
+    ("line1", 2, 2): ("6eb31adbcc8563234943ede8b6e51d54",
+                      "d4137730cda817971781af31cb195328"),
+    ("line1", 2, 3): ("af9a59fcf653deb0141c214707c48a42",
+                      "e2cde6df3f51d29297cdc8753ca803cf"),
+    ("line2", 2, 3, 1, 1): ("31a6bd1b0811dbb5d8c12bf5777b3e44",
+                            "74e03f6575c5a53ee51215e25b34b481"),
+    ("line2", 3, 2, 1, 1): ("854cfed876ed62d0cd8ecf16d94ac909",
+                            "b71f2d5e49a5938f999afd42a18b97ea"),
+    ("line2", 2, 5, 1, 1): ("da3c091a5db1fd585623eb520021978e",
+                            "72c7dfa5dbb2f30f73eaaecf7be204b2"),
+    ("line2", 2, 3, 2, 1): ("e349ae4f3e4550d515701c1f1853d39b",
+                            "d99c400fbba1caa7a2d02f5f0fc2b951"),
+    ("line2", 2, 3, 1, 2): ("6ace017c7d5780880b71b8b53f557872",
+                            "8f5a1d96a3614eb3a5bf1da18c0fc671"),
+    ("suzukiA", 3, 1): ("2a43835015606d30350401ef2602a7b4",
+                        "796942c06f906bfa6538b5d798ebe114"),
+    ("suzukiA", 3, 2): ("460e66ed619a6e40e25ae5cea045a42c",
+                        "4c2732a2736c586d4f1d4a13b1d1922a"),
+    ("suzukiA", 5, 1): ("38de0a5e5225038cd60a56340a96e516",
+                        "58d472170bdb179136bc7bf2ecc9a752"),
+    ("suzukiA", 5, 2): ("eed98de85a0f945dfd48a1bb29e0cb1a",
+                        "190c6d47ea7eebc4f643d6737d224a38"),
+    ("suzukiB", 1): ("9a2ee5146c11f4b9255cac57e2934def",
+                     "ba4e4d011725a6bc65d346d89d674d35"),
+    ("suzukiB", 2): ("72073ecb0c3b14bbb61b3374b213f494",
+                     "dac48a8f214a9d6931a82bf987825af8"),
+    ("suzukiB", 2, 1): ("039139330c909decc7b647510f469ec3",
+                        "dac48a8f214a9d6931a82bf987825af8"),
+    ("suzukiB", 3): ("b1b50da519abd820d9cb9b7ba29353b8",
+                     "0ff30249a497c6c70575b69d0dbd9e58"),
+    ("dornhoff",): ("3590fc5b14522c2f2e0fcedd948bc26b",
+                    "54c5083395767c15bedec851cd1e3e0f"),
+    ("sl3", (3, 1)): ("5fd0547f61a0188ef111ae2dfd399a2c",
+                      "be4d508f926d162940e9b1f3ba513d4e"),
+    ("gl3tower",): ("b20dc386d2dea1dcb74d1f7993422275",
+                    "1835f0e67a5387f03685594b9a7952b0"),
 }
 
+MAKERS = {"es2": cons.extraspecial2, "heis": cons.heisenberg_trace,
+          "line1": cons.line1_abelian, "line2": cons.line2_frobenius,
+          "suzukiA": cons.suzuki_A, "suzukiB": cons.suzuki_B,
+          "dornhoff": cons.dornhoff_P, "sl3": cons.sl3_pair,
+          "gl3tower": lambda: cons.gl3_tower((3, 1), (3, 1))}
 
-@pytest.mark.parametrize("key", list(TABLE_PINS), ids=lambda key: "-".join(
-    str(x).replace(" ", "") for x in key))
+
+def _make(key):
+    return MAKERS[key[0]](*key[1:])
+
+
+def _key_id(key):
+    return "-".join(str(x).replace(" ", "") for x in key)
+
+
+@pytest.mark.parametrize("key", list(TABLE_PINS), ids=_key_id)
 def test_table_and_action_pinned(key):
-    make = cons.extraspecial2 if key[0] == "es2" else cons.heisenberg_trace
-    inst = make(*key[1:])
+    inst = _make(key)
     assert (_sha(inst.group.mul), _sha(inst.acts.perms)) == TABLE_PINS[key]
+
+
+# one instance per family built by _Coder.table; no n here is a multiple
+# of 7, so 7-row blocks end in a short block
+BLOCKED = [("line1", 2, 3), ("line2", 2, 3, 2, 1), ("suzukiA", 5, 1),
+           ("suzukiB", 3), ("dornhoff",), ("heis", (3, 2), (3, 2), 2),
+           ("sl3", (3, 1)), ("es2", 3, "-")]
+
+
+@pytest.mark.parametrize("key", BLOCKED, ids=_key_id)
+def test_table_independent_of_row_blocks(key, monkeypatch):
+    table = _make(key).group.mul
+    n = len(table)
+    for cells in (1, 7 * n):
+        monkeypatch.setattr(cons, "BLOCK_CELLS", cells)
+        assert np.array_equal(_make(key).group.mul, table), cells
+
+
+@pytest.mark.parametrize("key", [("sl3", (3, 1)), ("suzukiA", 5, 1),
+                                 ("heis", (3, 2), (3, 2), 2)], ids=_key_id)
+def test_build_peak_memory_stays_near_the_table(key):
+    # the blocks hold every temporary of the formulas, so the build
+    # allocates little beyond the (n, n) table itself
+    tracemalloc.start()
+    try:
+        inst = _make(key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * inst.group.mul.nbytes
