@@ -79,9 +79,10 @@ class _Coder:
 
     def table(self, cols):
         """The (n, n) table whose row x, column y is the code of the
-        product xy.  cols(r) yields the product's coordinates, each of
-        shape (len(r), n), for the rows r against every y; the rows are
-        taken in blocks of at most BLOCK_CELLS cells."""
+        product xy.  cols(r) yields the product's coordinates for the
+        rows in the slice r against every y, each an array of shape
+        (rows, n); the rows are taken in blocks of at most BLOCK_CELLS
+        cells."""
         n = self.n
         out = np.empty((n, n), dtype=np.int64)
         step = max(1, BLOCK_CELLS // n)
