@@ -13,8 +13,11 @@ two arguments, a form on the grid of vectors), expanded to the block by
 one row gather and one column gather (_outer).  A bilinear cocycle or
 form is evaluated once on its grid through its Gram matrix
 (linalg_mod.form_matrix over a field, integer products mod 2 for the
-extraspecial 2-groups).  gl3_tower alone fills its table column by
-column from its right-multiplication generators.
+extraspecial 2-groups).  gl3_tower rests on a normal-form identity:
+with y = (x1^a1' x2^a2' x3^a3')(y21^b1' y31^b2' y32^b3' z^c'), xy is
+x (x1^a1' x2^a2' x3^a3') with (b', c') added digitwise mod 3 to its low
+four digits, so a row block is one gather from the grid of
+x (x1^a1' x2^a2' x3^a3') into the table of that low-digit add.
 
 FAMILIES maps each family name to a function whose signature is the
 family's parameter schema: names in report order, defaults for the
@@ -476,32 +479,31 @@ def gl3_tower(F, F0, *, cap=None):
     n = coder.n
     a1, a2, a3 = D[:, 0], D[:, 1], D[:, 2]
     b21, b31, b32, zc = D[:, 3], D[:, 4], D[:, 5], D[:, 6]
-    gen_perms = [
-        # right multiplication by x1, x2, x3 (collection formulas)
-        coder.encode_cols([(a1 + 1) % 3, a2, a3, (b21 + a2) % 3,
-                           (b31 + a3) % 3, b32, (zc + b32 + a2 * a3) % 3]),
-        coder.encode_cols([a1, (a2 + 1) % 3, a3, b21, b31,
-                           (b32 + a3) % 3, (zc - b31) % 3]),
-        coder.encode_cols([a1, a2, (a3 + 1) % 3, b21, b31, b32,
-                           (zc + b21) % 3]),
-        # right multiplication by y21, y31, y32, z (all central mod z)
-        coder.encode_cols([a1, a2, a3, (b21 + 1) % 3, b31, b32, zc]),
-        coder.encode_cols([a1, a2, a3, b21, (b31 + 1) % 3, b32, zc]),
-        coder.encode_cols([a1, a2, a3, b21, b31, (b32 + 1) % 3, zc]),
-        coder.encode_cols([a1, a2, a3, b21, b31, b32, (zc + 1) % 3]),
-    ]
-    # column h of the table is the right-regular map of h, built by
-    # peeling h's last nonzero digit
-    table = np.empty((n, n), dtype=np.int64)
-    table[:, 0] = np.arange(n)
-    for h in range(1, n):
-        t = 6
-        while D[h, t] == 0:
-            t -= 1
-        prev = h - coder.weights[t]
-        table[:, h] = gen_perms[t][table[:, prev]]
+    # right multiplication by x1, x2, x3 (collection formulas)
+    xr = [coder.encode_cols([(a1 + 1) % 3, a2, a3, (b21 + a2) % 3,
+                             (b31 + a3) % 3, b32, (zc + b32 + a2 * a3) % 3]),
+          coder.encode_cols([a1, (a2 + 1) % 3, a3, b21, b31,
+                             (b32 + a3) % 3, (zc - b31) % 3]),
+          coder.encode_cols([a1, a2, (a3 + 1) % 3, b21, b31, b32,
+                             (zc + b21) % 3])]
+    # grid[x, a'] = x x1^a1' x2^a2' x3^a3', a' = 9 a1' + 3 a2' + a3':
+    # each generator's powers appended as a new last digit of a'
+    grid = np.arange(n)[:, None]
+    for m in xr:
+        grid = np.stack([grid, m[grid], m[m[grid]]], axis=2).reshape(n, -1)
+    # gamma_2 = <y21, y31, y32, z> is elementary abelian (class 3), so
+    # appending y21^b1' y31^b2' y32^b3' z^c' to a normal form adds
+    # (b', c') digitwise to its low four digits: right[g, l] is g times
+    # the element of low-digit code l
+    low = _Coder([3] * 4)
+    L = low.digits
+    add81 = (L[:, None] + L) % 3 @ low.weights
+    g = np.arange(n)
+    right = (g - g % low.n)[:, None] + add81[g % low.n]
+    # y = a' 81 + l, so row x of the table is right[grid[x]] flattened
+    table = _Coder([n]).table(lambda r: (right[grid[r]].reshape(-1, n),))
     if not np.array_equal(table[0], np.arange(n)):
-        raise AssertionError("right-regular columns are misaligned")
+        raise AssertionError("normal-form rows are misaligned")
     group = FiniteGroup(coder.elems(), table)
     if group.exponent() != 3 or \
             [len(g) for g in group.gamma_series()] != [n, 81, 3, 1]:

@@ -454,8 +454,8 @@ class _HomSearch:
     edge after.
     """
 
-    def __init__(self, G, H, find_all):
-        self.G, self.H, self.find_all = G, H, find_all
+    def __init__(self, G, H):
+        self.G, self.H = G, H
         self.gens = G.generating_sequence()
         self.k_total = len(self.gens)
         g_ord, g_csz = G.orders(), G.class_sizes()
@@ -540,10 +540,10 @@ class _HomSearch:
         return keep[ok], phi[ok]
 
     def _collect(self, phi):
-        hits = phi[:, self.col]
-        if len(hits):
-            self.found.append(hits if self.find_all else hits[:1])
-        return bool(len(hits)) and not self.find_all
+        """Keep the first map of phi, if any; True ends the search."""
+        if len(phi):
+            self.found.append(phi[:1, self.col])
+        return bool(len(phi))
 
     def _descend(self, rows, k):
         """rows have survived level k; extend by bucket k and recurse."""
@@ -567,8 +567,9 @@ class _HomSearch:
         return False
 
     def run(self, prefix=()):
-        """The maps found, as an (m, |G|) array; with a prefix, only the
-        maps sending gens[:len(prefix)] to it."""
+        """The maps that _collect kept, the first one found or none, as
+        an (m, |G|) array; with a prefix, only maps sending
+        gens[:len(prefix)] to it."""
         self.found = []
         if self.k_total == 0:
             return np.array([[self.H.e]], dtype=np.int64)
@@ -632,7 +633,7 @@ def find_isomorphism(G, H):
                          % (n, ISO_CAP))
     if not _invariant_screen(G, H):
         return None
-    found = _HomSearch(G, H, find_all=False).run()
+    found = _HomSearch(G, H).run()
     if not len(found):
         return None
     phi = found[0]
@@ -640,22 +641,6 @@ def find_isomorphism(G, H):
             np.array_equal(np.sort(phi), np.arange(G.n))):
         raise AssertionError("search hit is not an isomorphism")
     return phi
-
-
-def all_automorphisms(G):
-    """Every automorphism of G as an (m, n) permutation array, listed by
-    the find-all search; the reference the tests hold
-    automorphism_group to."""
-    if G.n > AUT_ENUM_CAP:
-        raise ValueError("automorphism enumeration: group order %d exceeds "
-                         "cap %d" % (G.n, AUT_ENUM_CAP))
-    phis = _HomSearch(G, G, find_all=True).run()
-    phis = phis[hom_on_generators(G, G, phis)]
-    ar = np.arange(G.n)
-    bij = np.all(np.sort(phis, axis=1) == ar, axis=1)
-    phis = phis[bij]
-    order = np.lexsort(phis.T[::-1])
-    return phis[order]
 
 
 def automorphism_group(G):
@@ -674,11 +659,12 @@ def automorphism_group(G):
     c' would carry a hit for c' back to one for c.  Once every candidate
     is settled, the generators contain A_{j+1} and are transitive on the
     A_j-orbit of g_j, so they generate A_j and |A_j| is that orbit's
-    length times |A_{j+1}|.  Exhaustive, like all_automorphisms."""
+    length times |A_{j+1}|.  Exhaustive: every candidate image of every
+    base point is settled."""
     if G.n > AUT_ENUM_CAP:
         raise ValueError("automorphism group: group order %d exceeds cap %d"
                          % (G.n, AUT_ENUM_CAP))
-    search = _HomSearch(G, G, find_all=False)
+    search = _HomSearch(G, G)
     base = search.gens
     gens = np.empty((0, G.n), dtype=np.int64)
     ar = np.arange(G.n)

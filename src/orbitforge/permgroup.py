@@ -39,7 +39,9 @@ class PermGroup:
     """The group generated by the rows of `gens`, acting on n points,
     with `base` a base of it (see the module docstring).  With `cap`,
     construction raises ValueError once the product of the orbit lengths
-    so far, a lower bound for the order, passes it."""
+    so far, a lower bound for the order, passes it; it is tested after
+    every round of an orbit walk, so a refused level's orbit is not
+    walked to its end."""
 
     def __init__(self, gens, n, base, cap=None):
         self.n, self.cap = n, cap
@@ -118,6 +120,9 @@ class PermGroup:
             # valid.
             old, labs = len(orbit), every[-2:]
             front, front_reps = orbit, reps
+            # the other levels' orbit lengths times the partial orbit is
+            # a lower bound for the order, tested after every round
+            rest = self.order() // old
             while len(front):
                 img = P[labs[:, None], front].ravel()
                 hit = (vec[img] == -1).nonzero()[0]
@@ -130,6 +135,9 @@ class PermGroup:
                 orbit = np.concatenate([orbit, front])
                 reps = np.concatenate([reps, front_reps])
                 labs = every
+                if self.cap is not None and len(orbit) * rest > self.cap:
+                    raise ValueError("group order reached %d, above the cap "
+                                     "%d" % (len(orbit) * rest, self.cap))
             self._orbit[l], self._reps[l] = orbit, reps
             # new Schreier generators: old points under h, new points
             # under every generator; tree edges give the identity
@@ -143,9 +151,6 @@ class PermGroup:
             todo_t, todo_x = self._todo[l]
             self._todo[l] = (np.concatenate([todo_t, t[keep]]),
                              np.concatenate([todo_x, x[keep]]))
-            if self.cap is not None and self.order() > self.cap:
-                raise ValueError("group order reached %d, above the cap %d"
-                                 % (self.order(), self.cap))
 
     def _strip(self, h, lo):
         """Divide the full permutation h by coset representatives from

@@ -551,7 +551,13 @@ def verify_irredundant(exhaustive=False, *, cap=None):
 
 def q8_on_c3c3():
     """Order-72 semidirect product: the quaternion group, realized by
-    2x2 matrices over GF(3), acting on the natural plane."""
+    2x2 matrices over GF(3), acting on the natural plane.
+
+    The element (v0, v1, a) is the vector v = (v0, v1) with the matrix
+    M_a, and (v, a)(w, b) = (v M_b + w, ab).  The table is built by
+    _Coder.table on the codes (v, a), each coordinate of the product
+    read from a small table: the 9 x 8 grid of v M_b, the 9 x 9 vector
+    add, and the 8 x 8 table of Q8."""
     gi = np.array([[0, 2], [1, 0]], dtype=np.int64)
     gj = np.array([[1, 1], [1, 2]], dtype=np.int64)
     # the eight elements i^a j^b; a product table inside these eight
@@ -563,17 +569,15 @@ def q8_on_c3c3():
     if len(key) != 8 or not all(k in key for row in prods for k in row):
         raise AssertionError("i^a j^b are not a group of order 8")
     qmul = np.array([[key[k] for k in row] for row in prods], dtype=np.int64)
-    elems = [(v0, v1, t) for v0 in range(3) for v1 in range(3)
-             for t in range(8)]
-    index = {el: i for i, el in enumerate(elems)}
-    table = np.empty((72, 72), dtype=np.int64)
-    for i, (v0, v1, a) in enumerate(elems):
-        for j, (w0, w1, b) in enumerate(elems):
-            img = (np.array([v0, v1]) @ mats[b]) % 3
-            table[i, j] = index[(int(img[0] + w0) % 3,
-                                 int(img[1] + w1) % 3,
-                                 int(qmul[a, b]))]
-    return FiniteGroup(elems, table)
+    plane = cons._Coder([3, 3])
+    V = plane.digits
+    vm = ((V @ np.array(mats)) % 3 @ plane.weights).T
+    vadd = (V[:, None] + V) % 3 @ plane.weights
+    coder = cons._Coder([9, 8])
+    v, a = coder.digits.T
+    table = coder.table(lambda r: (vadd[cons._outer(vm, v[r], a), v],
+                                   cons._outer(qmul, a[r], a)))
+    return FiniteGroup(cons._Coder([3, 3, 8]).elems(), table)
 
 
 # four-orbit claim -> (family, or None for q8-c3c3 and its whole Aut(G);

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from orbitforge import constructions as cons
+from orbitforge import verify_suite as vs
 from orbitforge.group_engine import find_isomorphism
 from orbitforge.orbit_machine import central_automorphisms, omega_exact
 
@@ -251,6 +252,12 @@ def _make(key):
     return MAKERS[key[0]](*key[1:])
 
 
+def _group(key):
+    """The group of a TABLE_PINS key, or verify_suite's q8_on_c3c3,
+    which has no attached action."""
+    return vs.q8_on_c3c3() if key == ("q8c3c3",) else _make(key).group
+
+
 def _key_id(key):
     return "-".join(str(x).replace(" ", "") for x in key)
 
@@ -261,24 +268,33 @@ def test_table_and_action_pinned(key):
     assert (_sha(inst.group.mul), _sha(inst.acts.perms)) == TABLE_PINS[key]
 
 
-# one instance per family built by _Coder.table; no n here is a multiple
+def test_q8_on_c3c3_table_and_elements_pinned():
+    # sha256 prefixes of the table and of the (v0, v1, a) element list
+    G = vs.q8_on_c3c3()
+    assert (_sha(G.mul), _sha(G.elems)) == (
+        "316ded583548a5935eaba12df42ec912",
+        "dadbc5602b0f4768d1f94aacdc96bc39")
+
+
+# one instance per table built by _Coder.table; no n here is a multiple
 # of 7, so 7-row blocks end in a short block
 BLOCKED = [("line1", 2, 3), ("line2", 2, 3, 2, 1), ("suzukiA", 5, 1),
            ("suzukiB", 3), ("dornhoff",), ("heis", (3, 2), (3, 2), 2),
-           ("sl3", (3, 1)), ("es2", 3, "-")]
+           ("sl3", (3, 1)), ("es2", 3, "-"), ("gl3tower",), ("q8c3c3",)]
 
 
 @pytest.mark.parametrize("key", BLOCKED, ids=_key_id)
 def test_table_independent_of_row_blocks(key, monkeypatch):
-    table = _make(key).group.mul
+    table = _group(key).mul
     n = len(table)
     for cells in (1, 7 * n):
         monkeypatch.setattr(cons, "BLOCK_CELLS", cells)
-        assert np.array_equal(_make(key).group.mul, table), cells
+        assert np.array_equal(_group(key).mul, table), cells
 
 
 @pytest.mark.parametrize("key", [("sl3", (3, 1)), ("suzukiA", 5, 1),
-                                 ("heis", (3, 2), (3, 2), 2)], ids=_key_id)
+                                 ("heis", (3, 2), (3, 2), 2), ("gl3tower",)],
+                         ids=_key_id)
 def test_build_peak_memory_stays_near_the_table(key):
     # the blocks hold every temporary of the formulas, so the build
     # allocates little beyond the (n, n) table itself

@@ -127,6 +127,15 @@ def test_sl2_5_search():
         hr.sl2_5_search(13)
 
 
+@pytest.mark.parametrize("p, pick", [
+    (11, [[0, 2], [5, 4]]), (19, [[0, 7], [8, 5]]),
+    (29, [[2, 4], [9, 4]]), (59, [[2, 7], [32, 24]])])
+def test_sl2_5_search_picks_are_pinned(p, pick):
+    # the first order-10 candidate whose pair has order 120; a cap
+    # refusal during the orbit walk must not change which one that is
+    assert hr.sl2_5_search(p).mats[1].tolist() == pick
+
+
 @pytest.mark.parametrize("p", [11, 19])
 def test_sl2_elements_match_determinant_filter(p):
     idx = np.arange(p ** 4, dtype=np.int64)

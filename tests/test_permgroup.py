@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,17 @@ def test_cap_refusal_names_cap_and_order():
                   cap=10)
     assert PermGroup([[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], 5, range(5),
                      cap=120).order() == 120
+
+
+def test_cap_is_tested_during_the_orbit_walk():
+    # C_1000 on one base point: the walk is refused once its partial
+    # orbit passes the cap, long before the orbit of 1000 points ends
+    cycle = np.roll(np.arange(1000), -1)
+    with pytest.raises(ValueError, match=r"reached (\d+), above the cap 10"
+                       ) as err:
+        PermGroup([cycle], 1000, [0], cap=10)
+    reached = int(re.search(r"reached (\d+)", str(err.value)).group(1))
+    assert 10 < reached < 1000
 
 
 def test_add_matches_enumeration():
