@@ -29,11 +29,10 @@ pass.  The center is the centralizer of S; G', the lower central terms
 and a p-group's Frattini subgroup are normal closures of commutators and
 p-th powers of generators.  A non-p-group's Frattini subgroup is the
 intersection of its maximal subgroups, read off the whole subgroup
-lattice; the lattice walk closes <H, g> once per class
-H{g^k : gcd(k, |g|) = 1}H, since every member of that class gives the
-same subgroup, and grows it from H rather than from the generators
-alone.  The greedy pick and normal closures likewise grow each closure
-from the one before it.
+lattice.  The lattice takes no closure: each subgroup K > 1 is the union
+of the p cosets of a normal subgroup of prime index p, so the walk also
+proves G solvable and refuses any other group.  The greedy pick and
+normal closures grow each closure from the one before it.
 Caps: the lattice at |G| <= 512, isomorphism search at |G| <= 1024, and
 Aut(G) at |G| <= 512, found as strong generators plus its order by an
 exhaustive base-image backtrack on the base S.  Both searches evaluate
@@ -42,6 +41,7 @@ candidate at the first depth where a relation fails; every hit is then
 proved by hom_on_generators.
 """
 
+import functools
 import math
 import os
 import struct
@@ -50,7 +50,7 @@ from collections import Counter, deque
 import numpy as np
 
 from ._kernels import BLOCK_CELLS, closure_subgroup, orbit_labels
-from .gf_arith import prime_power
+from .gf_arith import is_prime, prime_power
 from .permgroup import PermGroup
 
 LATTICE_CAP = 512
@@ -244,64 +244,60 @@ class FiniteGroup:
     # ----------------------------------------------- subgroup machinery
 
     def all_subgroups(self):
-        """Every subgroup, by cyclic extension (Holt, Eick & O'Brien,
-        Handbook of Computational Group Theory, 2005): each subgroup H is
-        queued with the generators that built it and extended by one g
-        from each class H{g^k : gcd(k, |g|) = 1}H outside H.  Every
-        member h g^k h' of that class gives <H, h g^k h'> = <H, g>, since
-        g^k generates <g>, so skipping the rest of the class loses no
-        subgroup, and the walk still reaches every subgroup.  The coprime
-        powers P of g come from one table of x^k for k < exp(G), and the
-        class is marked as (H P) H, two steps of at most n |H| cells
-        each; |G| <= 512."""
+        """Every subgroup of a solvable group, by cyclic extension
+        (Neubueser, 1960; Holt, Eick & O'Brien, Handbook of Computational
+        Group Theory, 2005, ch. 10).  Each K > 1 has a normal H of prime
+        index p (K/K' is abelian), and K is the union of the cosets H g^i,
+        i < p, for any g in K - H.  So H is extended by each g of
+        N_G(H) - H (g^-1 H g within H, at n |H| cells) whose coset has
+        prime order p, the first k with g^k in H, from one table of x^k,
+        k <= exp(G); the rest of K - H gives the same K.  The walk reaches
+        G exactly when G is solvable, else it is refused; |G| <= 512."""
         if self.n > LATTICE_CAP:
             raise ValueError("subgroup lattice: group order %d exceeds cap %d"
                              % (self.n, LATTICE_CAP))
         if "subgroups" not in self._cache:
-            mul, orders = self.mul, self.orders()
+            mul = self.mul
             ar = np.arange(self.n)
-            powers = np.empty((self.exponent(), self.n), dtype=np.int64)
+            powers = np.empty((self.exponent() + 1, self.n), dtype=np.int64)
             powers[0] = self.e
             for k in range(1, len(powers)):
                 powers[k] = mul[powers[k - 1], ar]
-            units = {o: np.flatnonzero(np.gcd(np.arange(o), o) == 1)
-                     for o in set(orders.tolist())}
-            triv = self.closure([])
+            triv = np.array([self.e], dtype=np.int64)
             seen = {triv.tobytes(): triv}
-            queue = deque([(triv, [])])
+            queue = deque([triv])
             while queue:
-                H, hgens = queue.popleft()
-                covered = np.zeros(self.n, dtype=bool)
-                covered[H] = True
-                for g in range(self.n):
-                    if covered[g]:
+                H = queue.popleft()
+                inH = np.zeros(self.n, dtype=bool)
+                inH[H] = True
+                conj = mul[mul[self.inv[:, None], H], ar[:, None]]
+                todo = inH[conj].all(axis=1) & ~inH
+                for g in np.flatnonzero(todo):
+                    if not todo[g]:
                         continue
-                    P = powers[units[int(orders[g])], g]
-                    X = np.unique(mul[H[:, None], P])
-                    covered[mul[X[:, None], H]] = True
-                    # H closes hgens, a prefix of hgens + [g]
-                    K = closure_subgroup(mul, hgens + [g], H)
-                    key = K.tobytes()
-                    if key not in seen:
-                        seen[key] = K
-                        queue.append((K, hgens + [g]))
-            self._cache["subgroups"] = sorted(seen.values(),
-                                              key=lambda a: (len(a),
-                                                             a.tolist()))
+                    p = int(np.argmax(inH[powers[1:, g]])) + 1
+                    if not is_prime(p):
+                        continue
+                    K = np.unique(mul[H[:, None], powers[:p, g]])
+                    todo[K] = False
+                    if K.tobytes() not in seen:
+                        seen[K.tobytes()] = K
+                        queue.append(K)
+            subs = sorted(seen.values(), key=lambda a: (len(a), a.tolist()))
+            if len(subs[-1]) < self.n:
+                raise ValueError("subgroup lattice: the group of order %d "
+                                 "is not solvable" % self.n)
+            self._cache["subgroups"] = subs
         return self._cache["subgroups"]
 
     def maximal_subgroups(self):
-        subs = [H for H in self.all_subgroups() if len(H) < self.n]
-        sets = [frozenset(H.tolist()) for H in subs]
-        out = []
-        for i, H in enumerate(subs):
-            if not any(j != i and sets[i] < sets[j] for j in range(len(subs))):
-                out.append(H)
-        return out
+        subs = self.all_subgroups()[:-1]
+        sets = [set(H.tolist()) for H in subs]
+        return [H for H, s in zip(subs, sets) if not any(s < t for t in sets)]
 
     def frattini(self):
         """Frattini subgroup; None when the group is not a p-group and
-        exceeds the lattice cap."""
+        exceeds the lattice cap, whose walk refuses a non-solvable one."""
         if "frattini" not in self._cache:
             pp = prime_power(self.n)
             if self.n == 1:
@@ -313,13 +309,8 @@ class FiniteGroup:
                 phi = self.normal_closure(self._derived_pair()[1] +
                                           self.power_map(pp[0])[S].tolist())[0]
             elif self.n <= LATTICE_CAP:
-                maxes = self.maximal_subgroups()
-                mask = np.ones(self.n, dtype=bool)
-                for H in maxes:
-                    hm = np.zeros(self.n, dtype=bool)
-                    hm[H] = True
-                    mask &= hm
-                phi = np.nonzero(mask)[0].astype(np.int64)
+                phi = functools.reduce(np.intersect1d,
+                                       self.maximal_subgroups())
             else:
                 phi = None
             self._cache["frattini"] = phi

@@ -69,8 +69,6 @@ def transitive_on_nonzero(gens):
     """True iff the generated group has a single orbit on nonzero
     vectors (certified by orbit BFS, not group enumeration)."""
     perms, n, weights = _vector_perms(gens)
-    if n == 2:
-        return True     # one nonzero vector
     labels = orbit_labels(perms, n)
     e1 = int(weights[0])
     return int(np.sum(labels == labels[e1])) == n - 1

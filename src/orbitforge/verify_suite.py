@@ -163,7 +163,7 @@ def verify_table_line(line, params, *, cap=None):
     if line == 2 and meta["q"] != params["p"] ** (params["r"] - 1):
         raise AssertionError("scalar field is not p^(r-1)")
     core = characteristic_core(G)
-    caut = _caut_or_none(G) if line != 2 else None
+    caut = _caut_or_none(G)
     om = omega_exact(G, inst.acts, caut=caut, inner=True)
     expect = [1, meta["W_order"] - 1,
               meta["W_order"] * (meta["V_order"] - 1)]

@@ -431,9 +431,9 @@ def a4():
 
 
 def test_lattice_matches_reference():
-    """The double-coset walk against the every-element reference: S4, A4,
-    D4 and SL(2, 3) have non-normal subgroups, so H g H is more than one
-    coset, and the generators of C12 have four coprime powers."""
+    """The prime-index walk against the every-element reference: S4, A4,
+    D4 and SL(2, 3) have non-normal subgroups, so N_G(H) is smaller than
+    G, and C12 has cosets of composite order."""
     S4 = s4()
     assert S4.n == 24
     assert len(S4.derived()) == 12
@@ -469,14 +469,13 @@ def test_lattice_sizes():
     assert len(vs.q8_on_c3c3().all_subgroups()) == 68
 
 
-@pytest.mark.parametrize("build, size, most", [
-    (lambda: cons.line2_frobenius(2, 5, 1, 1).group, 84, 460),
-    (vs.q8_on_c3c3, 68, 361)], ids=["line2_frobenius", "q8_on_c3c3"])
-def test_lattice_closes_once_per_double_coset_class(build, size, most,
-                                                    monkeypatch):
-    """all_subgroups closes <H, g> once per class H{g^k}H, k prime to
-    |g|: 460 and 361 closures, where one per right coset Hg took 1709
-    and 1155."""
+@pytest.mark.parametrize("build, size", [
+    (lambda: cons.line2_frobenius(2, 5, 1, 1).group, 84),
+    (vs.q8_on_c3c3, 68)], ids=["line2_frobenius", "q8_on_c3c3"])
+def test_lattice_takes_no_closure(build, size, monkeypatch):
+    """all_subgroups builds each subgroup as a union of cosets of a
+    normal subgroup of prime index, so it makes no closure_subgroup call
+    (the closure-based walk made 460 and 361 here)."""
     G = build()
     calls = []
     inner = ge.closure_subgroup
@@ -488,7 +487,17 @@ def test_lattice_closes_once_per_double_coset_class(build, size, most,
     monkeypatch.setattr(ge, "closure_subgroup", spy)
     G._cache.pop("subgroups", None)
     assert len(G.all_subgroups()) == size
-    assert len(calls) <= most
+    assert calls == []
+
+
+def test_lattice_refuses_a_non_solvable_group():
+    """A5 is perfect, so no subgroup of prime index in A5 exists and the
+    walk stops short of G."""
+    A5 = perm_group([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    assert A5.n == 60 and len(A5.derived()) == 60
+    with pytest.raises(ValueError,
+                       match="the group of order 60 is not solvable"):
+        A5.all_subgroups()
 
 
 @pytest.mark.parametrize("trip, order, cap", [

@@ -132,7 +132,7 @@ def test_closure_refuses_empty_seed_under_optimize():
         proc.stderr
 
 
-_GROWERS = ("greedy_generators", "normal_closure", "all_subgroups")
+_GROWERS = ("greedy_generators", "normal_closure")
 
 
 @pytest.mark.parametrize("build", [
@@ -142,7 +142,9 @@ _GROWERS = ("greedy_generators", "normal_closure", "all_subgroups")
 def test_group_closures_from_start_match_scratch(build, monkeypatch):
     """Every closure the group machinery grows from a known subgroup
     equals the closure of the same seed from scratch, and each of the
-    three callers that pass a start does pass a non-empty one."""
+    two callers that pass a start does pass a non-empty one.  The
+    subgroup lattice is walked too, so any closure it took would also be
+    checked."""
     inner = K.closure_subgroup
     calls = []
 
