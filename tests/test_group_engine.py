@@ -474,8 +474,8 @@ def test_lattice_sizes():
     (vs.q8_on_c3c3, 68)], ids=["line2_frobenius", "q8_on_c3c3"])
 def test_lattice_takes_no_closure(build, size, monkeypatch):
     """all_subgroups builds each subgroup as a union of cosets of a
-    normal subgroup of prime index, so it makes no closure_subgroup call
-    (the closure-based walk made 460 and 361 here)."""
+    normal subgroup of prime index, so it makes no closure_subgroup
+    call."""
     G = build()
     calls = []
     inner = ge.closure_subgroup
