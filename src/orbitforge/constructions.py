@@ -69,12 +69,17 @@ class _Coder:
     def elems(self):
         return list(map(tuple, self.digits.tolist()))
 
-    def encode_cols(self, cols):
+    def encode_cols(self, cols, out=None):
         """Codes of the tuples whose coordinate t is cols[t], by Horner's
-        rule in place.  cols may be a generator: each column is dropped
-        once added, so only the output and one column are alive."""
+        rule in place, in out when it is given (else in a copy of the
+        first column, which may be a view the caller still needs).  cols
+        may be a generator: each column is dropped once added, so only
+        the output and one column are alive."""
         cols = iter(cols)
-        out = np.array(next(cols), dtype=np.int64)
+        if out is None:
+            out = np.array(next(cols), dtype=np.int64)
+        else:
+            out[...] = next(cols)
         for s in self.shapes[1:]:
             out *= s
             out += next(cols)
@@ -91,7 +96,7 @@ class _Coder:
         step = max(1, BLOCK_CELLS // n)
         for lo in range(0, n, step):
             r = slice(lo, min(lo + step, n))
-            out[r] = self.encode_cols(cols(r))
+            self.encode_cols(cols(r), out[r])
         return out
 
 

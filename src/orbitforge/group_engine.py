@@ -268,6 +268,8 @@ class FiniteGroup:
             queue = deque([triv])
             while queue:
                 H = queue.popleft()
+                if len(H) == self.n:
+                    continue        # no g outside G extends it
                 inH = np.zeros(self.n, dtype=bool)
                 inH[H] = True
                 conj = mul[mul[self.inv[:, None], H], ar[:, None]]

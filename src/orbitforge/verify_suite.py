@@ -385,80 +385,87 @@ def _span_plan(Q, m, wsize):
     return plan
 
 
+def _within_node_cap(nodes):
+    """nodes, unless it is above the map search's node cap."""
+    if nodes > MAP_SEARCH_NODE_CAP:
+        raise RuntimeError("search node cap %d exceeded: %d nodes"
+                           % (MAP_SEARCH_NODE_CAP, nodes))
+    return nodes
+
+
 def special2_map_search(da, db):
     """Search for invertible linear maps (sigma on the quotient layer,
     tau on the bottom layer) with tau . Q = Q' . sigma.  One node is one
-    candidate image tried for the next basis vector of sigma; a node's
-    candidates are tested together, with tau as a partial linear map on
-    the span of the squares so far (-1 elsewhere).  Every pruning step
-    is a necessary condition, so found=False is a proof that no such
-    pair exists; for special 2-groups that rules out any group
-    isomorphism, which would induce one."""
+    candidate image tried for the next basis vector of sigma, with tau a
+    partial linear map on the span of the squares so far (-1 elsewhere).
+    The tree is walked depth first in blocks, runs of nodes of one level
+    in lexicographic order, each tested in one numpy pass; so a node's
+    rank on its level gives the count, and the cap's trip point, of the
+    search one candidate at a time.  Every pruning step is a necessary
+    condition, so found=False is a proof that no such pair exists; for
+    special 2-groups that rules out any group isomorphism."""
     m, n = da["m"], da["n"]
     out = {"found": False, "nodes": 0, "fiber_match": False,
            "sigma": None, "tau": None}
     if (db["m"], db["n"]) != (m, n):
         return out
-    QA = da["Q"].astype(np.int64)
-    QB = db["Q"].astype(np.int64)
+    QA, QB = da["Q"].astype(np.int64), db["Q"].astype(np.int64)
     wsize = 1 << n
-    fibA = np.bincount(QA, minlength=wsize)
-    fibB = np.bincount(QB, minlength=wsize)
+    fibA, fibB = (np.bincount(Q, minlength=wsize) for Q in (QA, QB))
     out["fiber_match"] = sorted(fibA.tolist()) == sorted(fibB.tolist())
     if not out["fiber_match"]:
         return out
-    fcA = fibA[QA]
-    fcB = fibB[QB]
+    fcA, fcB = fibA[QA], fibB[QB]
     plan = _span_plan(QA, m, wsize)
-    span_img = np.zeros(1 << m, dtype=np.int64)
-    in_img = np.zeros(1 << m, dtype=bool)
-    in_img[0] = True
     bits = 1 << np.arange(n)
-    state = {"nodes": 0}
-
-    def credit(upto, done):
-        # the first `upto` candidates of a node count as tried, so the
-        # count and the cap's trip point are those of one-at-a-time
-        state["nodes"] += upto - done
-        if state["nodes"] > MAP_SEARCH_NODE_CAP:
-            raise RuntimeError("search node cap %d exceeded: %d nodes"
-                               % (MAP_SEARCH_NODE_CAP, state["nodes"]))
-        return upto
-
-    def rec(k, T):
-        half = 1 << k
-        cand = (~in_img).nonzero()[0]
-        S = span_img[:half] ^ cand[:, None]        # sigma on x | half
-        live = (fcB[S] == fcA[half:2 * half]).all(axis=1).nonzero()[0]
-        Tc = np.repeat(T[None], len(live), axis=0)
-        SB = QB[S[live]]
+    C = [(1 << m) - (1 << k) for k in range(m)]     # candidates per node
+    seen = [0] * m                                   # nodes expanded
+    # rows per block: C cells each, times 2^n where the plan extends tau
+    rows = [max(1, BLOCK_CELLS // 4 // c >> (n if p else 0))
+            for c, p in zip(C, plan)]
+    # a block: level, sigma and tau per node, count tried on levels above
+    stack = [(0, np.zeros((1, 1), dtype=np.int64),
+              np.where(np.arange(wsize) > 0, -1, 0)[None],   # tau(0) = 0
+              np.zeros(1, dtype=np.int64))]
+    while stack:
+        k, span, T, pre = stack.pop()
+        half, B = 1 << k, len(span)
+        _within_node_cap(int(pre[0] + np.dot(seen[k:], C[k:])))
+        mark = np.zeros((B, 1 << m), dtype=bool)
+        np.put_along_axis(mark, span, True, axis=1)
+        cand = np.nonzero(~mark)[1].reshape(B, C[k])
+        live = np.ones((B, C[k]), dtype=bool)
+        for x in range(half):
+            img = span[:, x, None] ^ cand              # sigma(x | half)
+            live &= fcB[img] == fcA[half + x]
+            if not plan[k]:
+                live &= T[:, QA[half + x], None] == QB[img]
+        row, idx = live.nonzero()
+        S = span[row] ^ cand[row, idx, None]
+        SB, T = QB[S], T[row]
         for x, dom in plan[k]:
-            Tc[:, dom ^ QA[x]] = Tc[:, dom] ^ SB[:, x - half, None]
-        ok = (Tc[:, QA[half:2 * half]] == SB).all(axis=1)
+            T[:, dom ^ QA[x]] = T[:, dom] ^ SB[:, x - half, None]
+        ok = (T[:, QA[half:2 * half]] == SB).all(axis=1)
         if k + 1 == m:
-            ok &= (np.sort(Tc, axis=1) == np.arange(wsize)).all(axis=1)
-        done = 0
-        for j in ok.nonzero()[0]:
-            done = credit(int(live[j]) + 1, done)
-            span_img[half:2 * half] = S[live[j]]
-            if k + 1 == m:
-                tau = [int((Tc[j, bits] >> i & 1) @ bits) for i in range(n)]
-                tmap = (np.bitwise_count(np.arange(wsize)[:, None] & tau)
-                        & 1) @ bits
-                if not np.array_equal(tmap[QA], QB[span_img]):
-                    raise AssertionError("solved pair fails the direct check")
-                out.update(found=True, sigma=span_img.copy(), tau=tau)
-                return True
-            fresh = span_img[half:2 * half]
-            in_img[fresh] = True
-            if rec(k + 1, Tc[j]):
-                return True
-            in_img[fresh] = False
-        credit(len(cand), done)
-        return False
-
-    rec(0, np.where(np.arange(wsize) > 0, -1, 0))    # tau(0) = 0 only
-    out["nodes"] = state["nodes"]
+            ok &= (np.sort(T, axis=1) == np.arange(wsize)).all(axis=1)
+        row, idx, T = row[ok], idx[ok], T[ok]
+        span = np.concatenate([span[row], S[ok]], axis=1)
+        pre = pre[row] + (seen[k] + row) * C[k] + idx + 1
+        seen[k] += B
+        if k + 1 < m:
+            for lo in reversed(range(0, len(span), rows[k + 1])):
+                hi = lo + rows[k + 1]
+                stack.append((k + 1, span[lo:hi], T[lo:hi], pre[lo:hi]))
+        elif len(span):
+            out["nodes"] = _within_node_cap(int(pre[0]))
+            tau = [int((T[0, bits] >> i & 1) @ bits) for i in range(n)]
+            tmap = (np.bitwise_count(np.arange(wsize)[:, None] & tau)
+                    & 1) @ bits
+            if not np.array_equal(tmap[QA], QB[span[0]]):
+                raise AssertionError("solved pair fails the direct check")
+            out.update(found=True, sigma=span[0].copy(), tau=tau)
+            return out
+    out["nodes"] = _within_node_cap(int(np.dot(seen, C)))
     return out
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,97 @@ def test_map_search_node_cap_trips_where_it_did(pair_512, monkeypatch,
             vs.special2_map_search(*pair_512)
     else:
         assert vs.special2_map_search(*pair_512)["nodes"] == cap
+
+
+def _transported(rng, da):
+    """da moved by a random invertible sigma: a pair with a solution."""
+    m = da["m"]
+    basis = []
+    while len(basis) < m:
+        c = int(rng.integers(1, 1 << m))
+        if c not in _span(basis):
+            basis.append(c)
+    x = np.arange(1 << m)
+    sigma = np.bitwise_xor.reduce(
+        np.where(x[:, None] >> np.arange(m) & 1, basis, 0), axis=1)
+    Q = np.empty_like(da["Q"])
+    Q[sigma] = da["Q"]
+    return {"m": m, "n": da["n"], "Q": Q}
+
+
+def _seeded_pairs(seed, count):
+    """count random pairs whose fibers match, every other one a
+    transported copy (so with a solution), each with the reference
+    search's result."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        m, n = int(rng.integers(3, 6)), int(rng.integers(1, 4))
+        da = _random_layers(rng, m, n)
+        if len(_span(da["Q"])) < 1 << n:
+            continue
+        db = (_transported(rng, da) if len(pairs) % 2 == 0
+              else _random_layers(rng, m, n))
+        want = _reference_map_search(da, db)
+        if want["nodes"]:
+            pairs.append((da, db, want))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def search_pairs(pair_512, pair_1024, pair_eps_64):
+    """The catalog pairs and both 512 self-pairs, found and not found."""
+    return {"512": pair_512, "1024": pair_1024, "eps-64": pair_eps_64,
+            "512-self-0": pair_512[:1] * 2, "512-self-1": pair_512[1:] * 2}
+
+
+@pytest.mark.parametrize("cells", [1, 7 * 64])
+def test_map_search_blocks_do_not_change_the_walk(search_pairs, monkeypatch,
+                                                  cells):
+    # one node per block, and blocks cut across a level's nodes at odd
+    # places: the same pair, count and cap trip point as the default
+    want = {name: vs.special2_map_search(*pair)
+            for name, pair in search_pairs.items()}
+    monkeypatch.setattr(vs, "BLOCK_CELLS", cells)
+    for name, pair in search_pairs.items():
+        got, ref = vs.special2_map_search(*pair), want[name]
+        assert (got["found"], got["nodes"], got["tau"]) == \
+            (ref["found"], ref["nodes"], ref["tau"]), name
+        if ref["found"]:
+            assert np.array_equal(got["sigma"], ref["sigma"]), name
+    for da, db, ref in _seeded_pairs(5, 12):
+        got = vs.special2_map_search(da, db)
+        assert (got["found"], got["nodes"]) == (ref["found"], ref["nodes"])
+        if ref["found"]:
+            assert got["sigma"].tolist() == ref["sigma"]
+            assert got["tau"] == ref["tau"]
+
+
+def test_map_search_cap_trips_at_the_count(search_pairs, monkeypatch):
+    # found and not-found trees alike: a cap one below the count trips,
+    # a cap at the count does not
+    cases = [search_pairs[name] for name in
+             ("512-self-0", "512-self-1", "eps-64")]
+    cases += [(da, db) for da, db, _ in _seeded_pairs(9, 10)]
+    for da, db in cases:
+        nodes = vs.special2_map_search(da, db)["nodes"]
+        with monkeypatch.context() as mp:
+            mp.setattr(vs, "MAP_SEARCH_NODE_CAP", nodes - 1)
+            with pytest.raises(RuntimeError, match="node cap"):
+                vs.special2_map_search(da, db)
+            mp.setattr(vs, "MAP_SEARCH_NODE_CAP", nodes)
+            assert vs.special2_map_search(da, db)["nodes"] == nodes
+
+
+@pytest.mark.parametrize("name", ["512", "1024"])
+def test_map_search_blocks_stay_small(search_pairs, name):
+    tracemalloc.start()
+    try:
+        vs.special2_map_search(*search_pairs[name])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
 
 
 # ---------------------------------------------- refuted needs a proof
