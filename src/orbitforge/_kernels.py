@@ -1,10 +1,11 @@
 """Hot integer-array loops shared by the group machinery.
 
 Two kernels live here, each with one plain-numpy implementation: orbit
-label propagation under a set of permutations, streamed in blocks, and
-subgroup closure over a multiplication table, a breadth-first walk from
-the generators S and from `start`, members already known to lie in <S>
-(start a subset of <S>), at (|start| + |<S> - start|) * |S| table cells.
+label propagation under a set of permutations, streamed in blocks, with
+the one transitivity test built on it, and subgroup closure over a
+multiplication table, a breadth-first walk from the generators S and
+from `start`, members already known to lie in <S> (start a subset of
+<S>), at (|start| + |<S> - start|) * |S| table cells.
 """
 
 import numpy as np
@@ -60,6 +61,17 @@ def orbit_labels(perms, n, start=None):
             continue
         lab = _orbit_labels_np(np.concatenate([block, lab[None, :]]), n)
     return lab
+
+
+def transitive_off(perms, n, fixed):
+    """True iff the group generated by the rows of perms (shape (k, n))
+    has the n - 1 points other than `fixed` as one orbit."""
+    if n <= 1:
+        return True
+    lab = orbit_labels(perms, n)
+    other = 1 if fixed == 0 else 0
+    return bool(lab[fixed] != lab[other]) and \
+        int(np.sum(lab == lab[other])) == n - 1
 
 
 # ------------------------------------------------------------ subgroup closure

@@ -107,15 +107,12 @@ def build_parser():
                                             "catalog line")
     sp.add_argument("line", choices=[str(t) for t in vs.LINES] + ["all"])
     _add_param_flags(sp, _union(vs.line_params(t) for t in vs.LINES))
-    sp.add_argument("--threads", type=int, default=1, metavar="N",
-                    help="worker threads for battery runs (default 1)")
     _add_common(sp)
 
     sp = sub.add_parser("verify-iso", help="explicit isomorphism between "
                                            "the two subfield models "
                                            "(battery unless --q/--d/--e)")
     _add_param_flags(sp, ("q", "d", "e"))
-    sp.add_argument("--threads", type=int, default=1, metavar="N")
     _add_common(sp)
 
     sp = sub.add_parser("verify-irredundant",
@@ -128,14 +125,12 @@ def build_parser():
     sp.add_argument("family", choices=list(vs.FOUR_ORBIT) + ["all"])
     _add_param_flags(sp, _union(prm for _, prm, _ in
                                  vs.FOUR_ORBIT.values()))
-    sp.add_argument("--threads", type=int, default=1, metavar="N")
     _add_common(sp)
 
     sp = sub.add_parser("hering-check", help="transitive linear group "
                                              "certificates")
     sp.add_argument("kind", choices=list(vs.HERING_PARAMS) + ["all"])
     _add_param_flags(sp, _union(vs.HERING_PARAMS.values()))
-    sp.add_argument("--threads", type=int, default=1, metavar="N")
     _add_common(sp)
 
     sp = sub.add_parser("export-cayley", help="write a Cayley table file")
@@ -159,16 +154,8 @@ def _size_cap(args):
 
 def _run_jobs(jobs, args):
     cap = _size_cap(args)
-    threads = getattr(args, "threads", 1)
-    if threads > 1:
-        # imported here: the pool's modules (logging, queue) hold about
-        # 0.6 MB that a single-threaded call never uses
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(lambda j: vs.run_job(j, cap), jobs))
-    else:
-        reports = [vs.run_job(j, cap) for j in jobs]
-    return sorted(reports, key=lambda r: r["claim_id"])
+    return sorted((vs.run_job(j, cap) for j in jobs),
+                  key=lambda r: r["claim_id"])
 
 
 def _detail(rep):

@@ -328,16 +328,6 @@ def subfield_embed(F_small, F_big):
     return emb
 
 
-_embed_cache = {}
-
-
-def _embedding_cached(F_small, F_big):
-    key = (F_small.p, F_small.k, F_big.k)
-    if key not in _embed_cache:
-        _embed_cache[key] = subfield_embed(F_small, F_big)
-    return _embed_cache[key]
-
-
 def trace_table(F, n):
     """Tr from F = GF(p^k) down to GF(p^n), n | k, at every element of F,
     as indices in the canonical field_create(p, n)."""
@@ -345,7 +335,7 @@ def trace_table(F, n):
         raise ValueError("%d does not divide %d" % (n, F.k))
     F_sub = field_create(F.p, n)
     back = np.full(F.q, -1, dtype=np.int64)
-    back[_embedding_cached(F_sub, F)] = np.arange(F_sub.q)
+    back[subfield_embed(F_sub, F)] = np.arange(F_sub.q)
     frob_n = frob_table(F, n)
     acc = np.arange(F.q, dtype=np.int64)
     tr = np.arange(F.q, dtype=np.int64)

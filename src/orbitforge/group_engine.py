@@ -35,10 +35,11 @@ proves G solvable and refuses any other group.  The greedy pick and
 normal closures grow each closure from the one before it.
 Caps: the lattice at |G| <= 512, isomorphism search at |G| <= 1024, and
 Aut(G) at |G| <= 512, found as strong generators plus its order by an
-exhaustive base-image backtrack on the base S.  Both searches evaluate
-candidate generator images one BFS depth of <S> at a time and drop a
-candidate at the first depth where a relation fails; every hit is then
-proved by hom_on_generators.
+exhaustive base-image backtrack on the base S.  Both searches walk one
+generator, _HomSearch.hits, which evaluates candidate generator images
+one BFS depth of <S> at a time, drops a candidate at the first depth
+where a relation fails, and yields the survivors lazily; every hit a
+caller keeps is then proved by is_isomorphism.
 """
 
 import functools
@@ -87,6 +88,8 @@ class FiniteGroup:
         the closures that pick S end on any in-range table (see the
         module docstring)."""
         n, mul = self.n, self.mul
+        if n == 0:
+            raise ValueError("not a group: the table is empty")
         ar = np.arange(n, dtype=np.int64)
         if mul.min() < 0 or mul.max() >= n:
             raise ValueError("table entries out of range")
@@ -444,7 +447,9 @@ class _HomSearch:
     Each (element, generator) edge is either an image step or a check
     at the stage of its later endpoint, so the survivors, and their
     order, are those of building every image first and checking every
-    edge after.
+    edge after.  One generator, hits, walks the levels depth first and
+    yields the last level's survivors block by block, so a caller that
+    stops after the first block stops the walk there.
     """
 
     def __init__(self, G, H):
@@ -532,17 +537,31 @@ class _HomSearch:
         ok = np.all(sub[:, 1:] != sub[:, :-1], axis=1)
         return keep[ok], phi[ok]
 
-    def _collect(self, phi):
-        """Keep the first map of phi, if any; True ends the search."""
-        if len(phi):
-            self.found.append(phi[:1, self.col])
-        return bool(len(phi))
+    def hits(self, prefix=()):
+        """The maps that send gens[:len(prefix)] to prefix and survive
+        every level, yielded lazily as (m, |G|) blocks in lexicographic
+        order of the generator images: next() finds the first, list()
+        all of them."""
+        if self.k_total == 0:
+            yield np.array([[self.H.e]], dtype=np.int64)
+            return
+        rows = np.asarray(prefix, dtype=np.int64).reshape(1, -1)
+        k = rows.shape[1]
+        if k:
+            keep, phi = self._evaluate(rows, k)
+            if not len(keep):
+                return
+            if k == self.k_total:
+                yield phi[:, self.col]
+                return
+        yield from self._descend(rows, k)
 
     def _descend(self, rows, k):
-        """rows have survived level k; extend by bucket k and recurse."""
+        """rows have survived level k; extend by bucket k, one chunk at
+        a time, and yield the last level's survivors."""
         bucket = self.buckets[k]
         if bucket.size == 0:
-            return False
+            return
         max_rows = max(1, BLOCK_CELLS // self.G.n)
         step = max(1, max_rows // bucket.size)
         for lo in range(0, rows.shape[0], step):
@@ -553,48 +572,22 @@ class _HomSearch:
             ext[:, k] = np.tile(bucket, B)
             keep, phi = self._evaluate(ext, k + 1)
             if k + 1 == self.k_total:
-                if self._collect(phi):
-                    return True
-            elif len(keep) and self._descend(ext[keep], k + 1):
-                return True
-        return False
-
-    def run(self, prefix=()):
-        """The maps that _collect kept, the first one found or none, as
-        an (m, |G|) array; with a prefix, only maps sending
-        gens[:len(prefix)] to it."""
-        self.found = []
-        if self.k_total == 0:
-            return np.array([[self.H.e]], dtype=np.int64)
-        rows = np.asarray(prefix, dtype=np.int64).reshape(1, -1)
-        k = rows.shape[1]
-        if k == 0:
-            self._descend(rows, 0)
-        elif k == self.k_total:
-            self._collect(self._evaluate(rows, k)[1])
-        elif len(self._evaluate(rows, k)[0]):
-            self._descend(rows, k)
-        if not self.found:
-            return np.empty((0, self.G.n), dtype=np.int64)
-        return np.concatenate(self.found)
+                if len(phi):
+                    yield phi[:, self.col]
+            elif len(keep):
+                yield from self._descend(ext[keep], k + 1)
 
 
 def _invariant_screen(G, H):
+    """Order, the sorted (class size, element order) profile, which
+    also fixes the order profile and |Z| (the classes of size 1), and
+    |G'|."""
     if G.n != H.n:
         return False
-    if G.order_profile() != H.order_profile():
+    g_prof = sorted(zip(G.class_sizes().tolist(), G.orders().tolist()))
+    if g_prof != sorted(zip(H.class_sizes().tolist(), H.orders().tolist())):
         return False
-    gz, hz = len(G.center()), len(H.center())
-    if gz != hz:
-        return False
-    if len(G.derived()) != len(H.derived()):
-        return False
-    g_csz, h_csz = G.class_sizes(), H.class_sizes()
-    g_ord, h_ord = G.orders(), H.orders()
-    g_prof = sorted(zip(g_csz.tolist(), g_ord.tolist()))
-    if g_prof != sorted(zip(h_csz.tolist(), h_ord.tolist())):
-        return False
-    return True
+    return len(G.derived()) == len(H.derived())
 
 
 def hom_on_generators(G, H, phis):
@@ -616,6 +609,18 @@ def hom_on_generators(G, H, phis):
     return ok
 
 
+def is_isomorphism(G, H, phis):
+    """Row t says whether the index map phis[t]: G -> H is an
+    isomorphism: a bijection (the row sorts to 0..n-1, n = |G| = |H|)
+    and a homomorphism by hom_on_generators, which only the bijective
+    rows go on to."""
+    phis = np.asarray(phis, dtype=np.int64).reshape(-1, G.n)
+    ok = (G.n == H.n) & np.all(np.sort(phis, axis=1) == np.arange(G.n),
+                               axis=1)
+    ok[ok] = hom_on_generators(G, H, phis[ok])
+    return ok
+
+
 def find_isomorphism(G, H):
     """Element-index map G -> H, or None.  Exhaustive given the screens:
     if no generator-image assignment survives, the groups are not
@@ -626,12 +631,11 @@ def find_isomorphism(G, H):
                          % (n, ISO_CAP))
     if not _invariant_screen(G, H):
         return None
-    found = _HomSearch(G, H).run()
-    if not len(found):
+    found = next(_HomSearch(G, H).hits(), None)
+    if found is None:
         return None
     phi = found[0]
-    if not (hom_on_generators(G, H, phi)[0] and
-            np.array_equal(np.sort(phi), np.arange(G.n))):
+    if not is_isomorphism(G, H, phi)[0]:
         raise AssertionError("search hit is not an isomorphism")
     return phi
 
@@ -660,7 +664,6 @@ def automorphism_group(G):
     search = _HomSearch(G, G)
     base = search.gens
     gens = np.empty((0, G.n), dtype=np.int64)
-    ar = np.arange(G.n)
     order = 1
     for j in reversed(range(search.k_total)):
         lab = orbit_labels(gens, G.n)
@@ -668,12 +671,12 @@ def automorphism_group(G):
         for c in search.buckets[j].tolist():
             if lab[c] == lab[base[j]] or lab[c] in lab[ruled_out]:
                 continue
-            hit = search.run(base[:j] + [c])   # one row or none
-            if not len(hit):
+            hit = next(search.hits(base[:j] + [c]), None)
+            if hit is None:
                 ruled_out.append(c)
                 continue
-            if not (hom_on_generators(G, G, hit)[0] and
-                    np.array_equal(np.sort(hit[0]), ar)):
+            hit = hit[:1]
+            if not is_isomorphism(G, G, hit)[0]:
                 raise AssertionError("search hit is not an automorphism")
             gens = np.concatenate([gens, hit])
             lab = orbit_labels(hit, G.n, start=lab)

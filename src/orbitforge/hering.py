@@ -1,14 +1,16 @@
 """Transitive linear groups: generator kits and closure diagnostics.
 
 Matrix groups are given by small generator lists over a finite field and
-act on row vectors.  Transitivity certificates come from vector-orbit
-BFS, never from full group enumeration.  Group orders and solvable
-residuals come from stabilizer chains (permgroup) of the faithful action
-on the q^d vectors, so no element list is ever built; CLOSURE_CAP bounds
-the order any chain may reach.  The chains' base is the d unit vectors,
-since a linear map fixing a basis is the identity, so an element is
-stripped as its d base images; the residual's candidates wait as base
-images too, and only the ones that join are built on all q^d vectors.
+act on row vectors.  Transitivity certificates come from orbit labels
+propagated along the generators' permutations of the vectors
+(_kernels.orbit_labels), never from full group enumeration.  Group
+orders and solvable residuals come from stabilizer chains (permgroup)
+of the faithful action on the q^d vectors, so no element list is ever
+built; CLOSURE_CAP bounds the order any chain may reach.  The chains'
+base is the d unit vectors, since a linear map fixing a basis is the
+identity, so an element is stripped as its d base images; the
+residual's candidates wait as base images too, and only the ones that
+join are built on all q^d vectors.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg_mod as lm
-from ._kernels import orbit_labels
+from ._kernels import transitive_off
 from .gf_arith import element_of_order, field_create, prime_power
 from .permgroup import PermGroup
 
@@ -67,11 +69,10 @@ def group_order(gens, cap=CLOSURE_CAP):
 
 def transitive_on_nonzero(gens):
     """True iff the generated group has a single orbit on nonzero
-    vectors (certified by orbit BFS, not group enumeration)."""
-    perms, n, weights = _vector_perms(gens)
-    labels = orbit_labels(perms, n)
-    e1 = int(weights[0])
-    return int(np.sum(labels == labels[e1])) == n - 1
+    vectors (certified by orbit-label propagation along the generators,
+    not group enumeration); the zero vector is index 0."""
+    perms, n, _ = _vector_perms(gens)
+    return transitive_off(perms, n, 0)
 
 
 def gammaL1_gens(p, m):
@@ -112,7 +113,7 @@ def sp_gens(d, q):
     F = field_create(*pk)
     _check_vectors(F.q, d)
     gram = lm.standard_symplectic(F, d)
-    mats = lm.symplectic_transvection_gens(F, d, gram)
+    mats = lm.symplectic_transvection_gens(F, d)
     for M in mats:
         if lm.sp_multiplier(F, gram, M) != 1:
             raise AssertionError("transvection fails the form check")

@@ -130,13 +130,12 @@ def wedge_power_matrix(F, g, k):
 
 # --------------------------------------------- Sp generators and submodules
 
-def symplectic_transvection_gens(F, d, gram=None):
-    """Transvections x -> x + lambda f(x, v) v, for v over all projective
-    directions and lambda over a GF(p)-basis of F.  Basis directions alone
-    generate a proper subgroup for d >= 4 (they never mix hyperbolic
-    planes), hence the full sweep."""
-    if gram is None:
-        gram = standard_symplectic(F, d)
+def symplectic_transvection_gens(F, d):
+    """Transvections x -> x + lambda f(x, v) v of the standard form f,
+    for v over all projective directions and lambda over a GF(p)-basis
+    of F.  Basis directions alone generate a proper subgroup for d >= 4
+    (they never mix hyperbolic planes), hence the full sweep."""
+    gram = standard_symplectic(F, d)
     eye = identity_mat(d)
     gens = []
     for flat in itertools.product(range(F.q), repeat=d):
@@ -184,7 +183,7 @@ def sp_lambda2_submodules(ell, q):
 
     D_invariant = True
     W_invariant = True
-    for g in symplectic_transvection_gens(F, d, gram):
+    for g in symplectic_transvection_gens(F, d):
         wg = wedge_power_matrix(F, g, 2)
         # the image must be a scalar multiple of omega (entries 0 or 1)
         img = vec_batch_apply(F, omega, wg)

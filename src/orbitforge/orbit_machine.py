@@ -9,14 +9,13 @@ reported and nothing is guessed.
 """
 
 import math
-from collections import deque
 
 import numpy as np
 
-from ._kernels import BLOCK_CELLS, orbit_labels
+from ._kernels import BLOCK_CELLS, orbit_labels, transitive_off
 from .gf_arith import prime_power
 from .group_engine import (automorphism_group, characteristic_core,
-                           hom_on_generators)
+                           is_isomorphism)
 from .permgroup import PermGroup
 
 HOLOMORPH_CAP = 64
@@ -50,12 +49,10 @@ class AutomorphismSet:
 
 
 def verify_automorphism(G, perm):
-    """Bijectivity plus the generator-row homomorphism proof."""
+    """One map of G's n indices, proved an automorphism by
+    is_isomorphism."""
     perm = np.asarray(perm, dtype=np.int64)
-    n = G.n
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        return False
-    return bool(hom_on_generators(G, G, perm)[0])
+    return perm.shape == (G.n,) and bool(is_isomorphism(G, G, perm)[0])
 
 
 def inner_automorphisms(G):
@@ -94,8 +91,7 @@ def orbits(G, acts):
 
 def _membership(n, subset):
     m = np.zeros(n, dtype=bool)
-    if subset is not None:
-        m[subset] = True
+    m[subset] = True
     return m
 
 
@@ -151,40 +147,52 @@ def omega_exact(G, acts, *, caut=None, inner=True):
 
 # ------------------------------------------------- central automorphisms
 
-def _layer_coords(G, key, reps, basis, p):
-    """(relabel, coords): additive coordinates coords[relabel[r]] for the
-    sorted layer members reps, where key[g] is the member standing for g
-    (the least element of its coset of N, or g itself in N).  A walk
-    from key[e] gives key[r * basis[i]] the coordinates of r plus the
-    i-th unit vector; they are checked additive on every pair of reps."""
-    relabel = np.full(G.n, -1, dtype=np.int64)
-    relabel[reps] = np.arange(len(reps))
-    coords = np.full((len(reps), len(basis)), -1, dtype=np.int64)
-    start = int(key[G.e])
-    coords[relabel[start]] = 0
-    frontier = deque([start])
-    while frontier:
-        r = frontier.popleft()
-        for i, b in enumerate(basis):
-            t = relabel[key[G.mul[r, b]]]
-            if coords[t, 0] < 0:  # first visit
-                coords[t] = coords[relabel[r]]
-                coords[t, i] = (coords[t, i] + 1) % p
-                frontier.append(reps[t])
-    if (coords < 0).any():
-        raise ValueError("layer coordinate walk incomplete")
-    prod = relabel[key[G.mul[reps[:, None], reps]]]
-    if not np.array_equal(coords[prod],
-                          (coords[:, None, :] + coords[None, :, :]) % p):
+def _cosets(G, N):
+    """(coset, reps, pos_in_N) for a subgroup N: reps lists the least
+    element of each coset of N in increasing order, coset[g] is the
+    position of gN in reps, and pos_in_N[g] is the position of g in the
+    sorted N (-1 outside N)."""
+    reps, coset = np.unique(G.mul[:, N].min(axis=1), return_inverse=True)
+    pos_in_N = np.full(G.n, -1, dtype=np.int64)
+    pos_in_N[N] = np.arange(len(N))
+    return coset, reps, pos_in_N
+
+
+def _layer_coords(G, basis, p, slot):
+    """(words, coords) for an elementary abelian layer of order p^k, k =
+    len(basis), whose members slot numbers 0..p^k - 1 (slot[g] is the
+    member holding g: its coset, or its position in N).  words[c] is
+    the basis-power word b_0^c_0 ... b_{k-1}^c_{k-1} for the
+    little-endian base-p digits c_i of c.  The words must meet every
+    member once; member slot[words[c]] then gets coordinates (c_i), and
+    these are checked additive on every pair of words."""
+    k = len(basis)
+    words = np.array([G.e], dtype=np.int64)
+    for b in basis:
+        powers = [G.e]
+        for _ in range(p - 1):
+            powers.append(G.mul[powers[-1], b])
+        # index c + p^i t holds word(c) * b^t
+        words = G.mul[words[None, :], np.array(powers)[:, None]].ravel()
+    digits = np.arange(p ** k)[:, None] // p ** np.arange(k) % p
+    member = slot[words]
+    if not np.array_equal(np.sort(member), np.arange(p ** k)):
+        raise ValueError("layer words do not meet every member once")
+    coords = np.empty_like(digits)
+    coords[member] = digits
+    if not np.array_equal(coords[slot[G.mul[words[:, None], words]]],
+                          (digits[:, None, :] + digits[None, :, :]) % p):
         raise AssertionError("layer coordinates are not additive")
-    return relabel, coords
+    return words, coords
 
 
 def linear_split(G):
     """Layer coordinates for a p-group with 1 < N <= Z(G) and both N and
     G/N elementary abelian: bases for the two layers, additive coset
     coordinates for every element, and coordinates inside N, all checked
-    for additivity against the multiplication table."""
+    for additivity against the multiplication table.  rep_by_coords
+    holds the least element of the coset with each coordinate vector,
+    little-endian."""
     pp = prime_power(G.n)
     if pp is None:
         raise ValueError("not a p-group")
@@ -205,22 +213,16 @@ def linear_split(G):
     v_basis = G.greedy_generators(np.arange(G.n), N)
     if len(w_basis) != n_dim or len(v_basis) != m_dim:
         raise ValueError("basis extraction failed")
-    L = G.mul[:, N].min(axis=1)  # least element of each coset of N
-    if not np.all(L[G.power_map(p)] == L[G.e]):
+    coset, reps, pos_in_N = _cosets(G, N)
+    if not np.all(coset[G.power_map(p)] == coset[G.e]):
         raise ValueError("G/N is not elementary abelian")
-    reps = np.unique(L)
-    relabel, coords = _layer_coords(G, L, reps, v_basis, p)
-    cc = coords[relabel[L]]
-    pos_in_N, wc = _layer_coords(G, np.arange(G.n), N, w_basis, p)
-    # least coset representative per coordinate vector, little-endian
-    weights = p ** np.arange(m_dim, dtype=np.int64)
-    rep_by_coords = np.full(p ** m_dim, -1, dtype=np.int64)
-    rep_by_coords[coords @ weights] = reps
+    words, coords = _layer_coords(G, v_basis, p, coset)
+    _, wc = _layer_coords(G, w_basis, p, pos_in_N)
     return {
         "p": p, "m": m_dim, "n": n_dim,
         "v_basis": v_basis, "w_basis": w_basis,
-        "N": N, "coset_coords": cc, "w_coords": wc,
-        "pos_in_N": pos_in_N, "rep_by_coords": rep_by_coords,
+        "N": N, "coset_coords": coords[coset], "w_coords": wc,
+        "pos_in_N": pos_in_N, "rep_by_coords": reps[coset[words]],
     }
 
 
@@ -285,42 +287,25 @@ def induced_pair(G, N, acts):
     the quotient forces acting trivially on N (|J| = |A|); when it does
     (N central, for instance), K is the kernel of the map A -> B."""
     N = np.asarray(sorted(int(x) for x in N), dtype=np.int64)
-    nmask = _membership(G.n, N)
-    L = G.mul[:, N].min(axis=1)
-    reps = np.unique(L)
-    relabel = np.full(G.n, -1, dtype=np.int64)
-    relabel[reps] = np.arange(len(reps))
+    coset, reps, pos_in_N = _cosets(G, N)
     qn = len(reps)
-    pos_in_N = np.full(G.n, -1, dtype=np.int64)
-    pos_in_N[N] = np.arange(len(N))
     a_perms, b_perms = [], []
     for p in acts.perms:
-        if not nmask[p[N]].all():
+        bhat = pos_in_N[p[N]]
+        if (bhat < 0).any():
             raise ValueError("acting set does not stabilize N")
-        ahat = relabel[L[p[reps]]]
-        if not np.array_equal(ahat[relabel[L]], relabel[L[p]]):
+        ahat = coset[p[reps]]
+        if not np.array_equal(ahat[coset], coset[p]):
             raise AssertionError("quotient action ill-defined")
         a_perms.append(ahat)
-        b_perms.append(pos_in_N[p[N]])
+        b_perms.append(bhat)
     a_perms = np.array(a_perms, dtype=np.int64).reshape(len(acts.perms), qn)
     b_perms = np.array(b_perms, dtype=np.int64).reshape(len(acts.perms),
                                                         len(N))
-    e_q = relabel[L[G.e]]
-    e_n = pos_in_N[G.e]
-
-    def transitive(perms, size, fixed):
-        if size <= 1:
-            return True
-        lab = orbit_labels(perms, size)
-        others = np.array([i for i in range(size) if i != fixed])
-        return len(np.unique(lab[others])) == 1
-
-    a_trans = transitive(a_perms, qn, e_q)
-    b_trans = transitive(b_perms, len(N), e_n)
     # bases: the images of S generate G/N, and a generating set of N
     # generates N, so a map induced by an automorphism that fixes them
     # is the identity
-    a_base = relabel[L[G.generating_sequence()]]
+    a_base = coset[G.generating_sequence()]
     b_base = pos_in_N[G.greedy_generators(N, [G.e])]
     a_order = PermGroup(a_perms, qn, a_base).order()
     b_order = PermGroup(b_perms, len(N), b_base).order()
@@ -330,7 +315,8 @@ def induced_pair(G, N, acts):
                         np.concatenate([a_base, b_base + qn])).order()
     return {
         "A_perms": a_perms, "B_perms": b_perms,
-        "A_transitive": bool(a_trans), "B_transitive": bool(b_trans),
+        "A_transitive": transitive_off(a_perms, qn, coset[G.e]),
+        "B_transitive": transitive_off(b_perms, len(N), pos_in_N[G.e]),
         "A_order": a_order, "B_order": b_order, "K_order": j_order // b_order,
         "A_to_B_function": j_order == a_order,
         "quotient_size": qn, "N_size": len(N),

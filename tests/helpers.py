@@ -31,23 +31,13 @@ def wedge_vec(F, u, v, d):
     return out
 
 
-class _FindAll(ge._HomSearch):
-    """The homomorphism search with every hit kept."""
-
-    def _collect(self, phi):
-        if len(phi):
-            self.found.append(phi[:, self.col])
-        return False
-
-
 def all_automorphisms(G):
     """Every automorphism of G as an (m, n) permutation array, in
-    lexicographic order, listed by the find-all search."""
+    lexicographic order: every block the search yields, proved by
+    is_isomorphism."""
     if G.n > ge.AUT_ENUM_CAP:
         raise ValueError("automorphism enumeration: group order %d exceeds "
                          "cap %d" % (G.n, ge.AUT_ENUM_CAP))
-    phis = _FindAll(G, G).run()
-    phis = phis[ge.hom_on_generators(G, G, phis)]
-    ar = np.arange(G.n)
-    phis = phis[np.all(np.sort(phis, axis=1) == ar, axis=1)]
+    phis = np.concatenate(list(ge._HomSearch(G, G).hits()))
+    phis = phis[ge.is_isomorphism(G, G, phis)]
     return phis[np.lexsort(phis.T[::-1])]

@@ -230,19 +230,6 @@ def test_cap_does_not_leak():
     assert json.loads(text)["order"] == 729
 
 
-def test_thread_determinism():
-    outs = []
-    for t in ("1", "2"):
-        code, text = run_cli(["verify-4orbit", "all", "--json",
-                              "--threads", t])
-        assert code == 0
-        rows = [json.loads(ln) for ln in text.strip().splitlines()]
-        for r in rows:
-            r.pop("wall_ms")
-        outs.append(rows)
-    assert outs[0] == outs[1]
-
-
 # reports of code no frozen answer covers: the line-1 GL kit, Sp(4, 3)
 # and GammaL(1, 4096), whose field has no tables (wall_ms stripped)
 REPORT_PINS = [

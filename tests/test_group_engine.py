@@ -171,6 +171,15 @@ def test_cayley_rejects_bad_sizes(tmp_path):
             ge.import_cayley(str(path))
 
 
+def test_empty_table_is_refused_by_name(tmp_path):
+    with pytest.raises(ValueError, match="not a group: the table is empty"):
+        ge.FiniteGroup([], np.zeros((0, 0)))
+    path = tmp_path / "empty.g3o"
+    path.write_bytes(ge.CAYLEY_MAGIC + (0).to_bytes(4, "little"))
+    with pytest.raises(ValueError, match="not a group: the table is empty"):
+        ge.import_cayley(str(path))
+
+
 def intercalate_swap(n):
     """Z_n with the intercalate in rows 1, 1+h and columns 2, 2+h
     (h = n/2) swapped: still a Latin square with identity 0, but not
@@ -243,6 +252,26 @@ def test_find_isomorphism_random_relabel():
         assert np.array_equal(phi[A4.mul], H.mul[phi[:, None], phi[None, :]])
 
 
+def test_is_isomorphism_judges_each_row():
+    """One call on a block: every automorphism passes, and a bijection
+    that is not a homomorphism and a homomorphism that is not a
+    bijection fail, each in its own row."""
+    Q8 = quat()
+    auts = all_automorphisms(Q8)
+    swap = np.arange(Q8.n)
+    swap[[Q8.e, (Q8.e + 1) % Q8.n]] = swap[[(Q8.e + 1) % Q8.n, Q8.e]]
+    trivial = np.full(Q8.n, Q8.e)
+    assert not ge.hom_on_generators(Q8, Q8, swap)[0]
+    assert ge.hom_on_generators(Q8, Q8, trivial)[0]
+    rows = np.concatenate([auts[:12], [swap], auts[12:], [trivial]])
+    expect = [True] * 12 + [False] + [True] * (len(auts) - 12) + [False]
+    assert ge.is_isomorphism(Q8, Q8, rows).tolist() == expect
+    # an injective homomorphism onto the first |G| indices of a larger H
+    C2, V4 = cyclic(2), direct([2, 2])
+    assert ge.hom_on_generators(C2, V4, [0, 1])[0]
+    assert not ge.is_isomorphism(C2, V4, [0, 1])[0]
+
+
 def test_find_isomorphism_proof_survives_optimize():
     # python -O strips assert statements, and the proof of a search hit
     # must still raise there; the patched search returns the map onto the
@@ -252,7 +281,7 @@ def test_find_isomorphism_proof_survives_optimize():
         "from orbitforge import group_engine as ge",
         "i = np.arange(4)",
         "G = ge.FiniteGroup(list(range(4)), (i[:, None] + i) % 4)",
-        "ge._HomSearch.run = lambda self: np.full((1, G.n), G.e)",
+        "ge._HomSearch.hits = lambda self: iter([np.full((1, G.n), G.e)])",
         "print(__debug__)",
         "try:",
         "    ge.find_isomorphism(G, G)",

@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -173,28 +174,76 @@ def test_inner_automorphism_orbits():
     assert sorted(rep["lengths"]) == [1, 2, 3]
 
 
+def _walk_coords(G, key, reps, basis, p):
+    """Reference layer coordinates by a breadth-first walk from key[e]:
+    key[r * basis[i]] gets the coordinates of r plus the i-th unit
+    vector.  Returns (relabel, coords), coords[relabel[r]] those of the
+    layer member r."""
+    relabel = np.full(G.n, -1, dtype=np.int64)
+    relabel[reps] = np.arange(len(reps))
+    coords = np.full((len(reps), len(basis)), -1, dtype=np.int64)
+    start = int(key[G.e])
+    coords[relabel[start]] = 0
+    frontier = deque([start])
+    while frontier:
+        r = frontier.popleft()
+        for i, b in enumerate(basis):
+            t = relabel[key[G.mul[r, b]]]
+            if coords[t, 0] < 0:
+                coords[t] = coords[relabel[r]]
+                coords[t, i] = (coords[t, i] + 1) % p
+                frontier.append(reps[t])
+    assert (coords >= 0).all()
+    return relabel, coords
+
+
+def _walk_split(G, sp):
+    """linear_split's coordinates from the walk, on the same bases."""
+    p, N = sp["p"], sp["N"]
+    L = G.mul[:, N].min(axis=1)
+    reps = np.unique(L)
+    relabel, coords = _walk_coords(G, L, reps, sp["v_basis"], p)
+    pos_in_N, wc = _walk_coords(G, np.arange(G.n), N, sp["w_basis"], p)
+    rep_by_coords = np.full(p ** sp["m"], -1, dtype=np.int64)
+    rep_by_coords[coords @ p ** np.arange(sp["m"])] = reps
+    return {"coset_coords": coords[relabel[L]], "w_coords": wc,
+            "pos_in_N": pos_in_N, "rep_by_coords": rep_by_coords}
+
+
 def test_linear_split_layers():
+    """The basis-power coordinates are additive on every pair of
+    elements and agree with the breadth-first walk they replaced."""
     cases = [
-        (quat(), 2, 1),
-        (cons.heisenberg_trace((3, 1), (3, 1), 2).group, 2, 1),
-        (cons.suzuki_B(2).group, 4, 2),
-        (cons.extraspecial2(2, "+").group, 4, 1),
+        (quat(), (2, 1)),
+        (cons.heisenberg_trace((3, 1), (3, 1), 2).group, (2, 1)),
+        (cons.suzuki_B(2).group, (4, 2)),
+        (cons.extraspecial2(2, "+").group, (4, 1)),
+        (cons.suzuki_A(3, 1).group, None),
+        (cons.dornhoff_P().group, None),
+        (cons.sl3_pair((3, 1)).group, None),
     ]
-    for G, m, n in cases:
+    for G, dims in cases:
         sp = om.linear_split(G)
-        assert (sp["m"], sp["n"]) == (m, n)
-        p = sp["p"]
-        # coset coordinates are additive on random pairs
-        rng = np.random.RandomState(11)
-        cc = sp["coset_coords"]
-        for _ in range(60):
-            a, b = rng.randint(0, G.n, size=2)
-            assert np.array_equal(cc[G.mul[a, b]],
-                                  (cc[a] + cc[b]) % p)
-        # every coordinate vector has a representative
+        p, cc = sp["p"], sp["coset_coords"]
+        assert np.array_equal(cc[G.mul],
+                              (cc[:, None, :] + cc[None, :, :]) % p)
+        for key, ref in _walk_split(G, sp).items():
+            assert np.array_equal(sp[key], ref), (G.n, key)
         assert (sp["rep_by_coords"] >= 0).all()
-        caut, _, mm, nn, count = om.central_automorphisms(G)
-        assert count == p ** (mm * nn)
+        if dims is not None:
+            assert (sp["m"], sp["n"]) == dims
+            caut, _, mm, nn, count = om.central_automorphisms(G)
+            assert count == p ** (mm * nn)
+
+
+def test_layer_words_must_meet_every_member():
+    """A repeated basis element gives words that miss a coset."""
+    Q8 = quat()
+    sp = om.linear_split(Q8)
+    coset = om._cosets(Q8, sp["N"])[0]
+    v = sp["v_basis"][0]
+    with pytest.raises(ValueError, match="meet every member once"):
+        om._layer_coords(Q8, [v, v], sp["p"], coset)
 
 
 def test_brute_force_aut_is_group():
