@@ -448,8 +448,8 @@ class _HomSearch:
     at the stage of its later endpoint, so the survivors, and their
     order, are those of building every image first and checking every
     edge after.  One generator, hits, walks the levels depth first and
-    yields the last level's survivors block by block, so a caller that
-    stops after the first block stops the walk there.
+    yields the last level's survivors one map at a time, so a caller
+    that stops after the first map stops the walk there.
     """
 
     def __init__(self, G, H):
@@ -539,11 +539,11 @@ class _HomSearch:
 
     def hits(self, prefix=()):
         """The maps that send gens[:len(prefix)] to prefix and survive
-        every level, yielded lazily as (m, |G|) blocks in lexicographic
-        order of the generator images: next() finds the first, list()
-        all of them."""
+        every level, yielded lazily as (|G|,) index maps in
+        lexicographic order of the generator images: next() finds the
+        first, list() all of them."""
         if self.k_total == 0:
-            yield np.array([[self.H.e]], dtype=np.int64)
+            yield np.array([self.H.e], dtype=np.int64)
             return
         rows = np.asarray(prefix, dtype=np.int64).reshape(1, -1)
         k = rows.shape[1]
@@ -552,13 +552,13 @@ class _HomSearch:
             if not len(keep):
                 return
             if k == self.k_total:
-                yield phi[:, self.col]
+                yield phi[0, self.col]
                 return
         yield from self._descend(rows, k)
 
     def _descend(self, rows, k):
         """rows have survived level k; extend by bucket k, one chunk at
-        a time, and yield the last level's survivors."""
+        a time, and yield the last level's survivors one by one."""
         bucket = self.buckets[k]
         if bucket.size == 0:
             return
@@ -572,8 +572,8 @@ class _HomSearch:
             ext[:, k] = np.tile(bucket, B)
             keep, phi = self._evaluate(ext, k + 1)
             if k + 1 == self.k_total:
-                if len(phi):
-                    yield phi[:, self.col]
+                for row in phi:
+                    yield row[self.col]
             elif len(keep):
                 yield from self._descend(ext[keep], k + 1)
 
@@ -631,10 +631,9 @@ def find_isomorphism(G, H):
                          % (n, ISO_CAP))
     if not _invariant_screen(G, H):
         return None
-    found = next(_HomSearch(G, H).hits(), None)
-    if found is None:
+    phi = next(_HomSearch(G, H).hits(), None)
+    if phi is None:
         return None
-    phi = found[0]
     if not is_isomorphism(G, H, phi)[0]:
         raise AssertionError("search hit is not an isomorphism")
     return phi
@@ -675,9 +674,9 @@ def automorphism_group(G):
             if hit is None:
                 ruled_out.append(c)
                 continue
-            hit = hit[:1]
             if not is_isomorphism(G, G, hit)[0]:
                 raise AssertionError("search hit is not an automorphism")
+            hit = hit[None]
             gens = np.concatenate([gens, hit])
             lab = orbit_labels(hit, G.n, start=lab)
         order *= int(np.count_nonzero(lab == lab[base[j]]))

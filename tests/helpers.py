@@ -33,11 +33,11 @@ def wedge_vec(F, u, v, d):
 
 def all_automorphisms(G):
     """Every automorphism of G as an (m, n) permutation array, in
-    lexicographic order: every block the search yields, proved by
+    lexicographic order: every map the search yields, proved by
     is_isomorphism."""
     if G.n > ge.AUT_ENUM_CAP:
         raise ValueError("automorphism enumeration: group order %d exceeds "
                          "cap %d" % (G.n, ge.AUT_ENUM_CAP))
-    phis = np.concatenate(list(ge._HomSearch(G, G).hits()))
+    phis = np.array(list(ge._HomSearch(G, G).hits()))
     phis = phis[ge.is_isomorphism(G, G, phis)]
     return phis[np.lexsort(phis.T[::-1])]

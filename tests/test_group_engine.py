@@ -281,7 +281,7 @@ def test_find_isomorphism_proof_survives_optimize():
         "from orbitforge import group_engine as ge",
         "i = np.arange(4)",
         "G = ge.FiniteGroup(list(range(4)), (i[:, None] + i) % 4)",
-        "ge._HomSearch.hits = lambda self: iter([np.full((1, G.n), G.e)])",
+        "ge._HomSearch.hits = lambda self: iter([np.full(G.n, G.e)])",
         "print(__debug__)",
         "try:",
         "    ge.find_isomorphism(G, G)",
