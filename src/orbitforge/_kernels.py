@@ -78,10 +78,10 @@ def transitive_off(perms, n, fixed):
 
 def closure_subgroup(mul, seed, start=()):
     """Sorted element indices of the subgroup generated by seed inside the
-    finite group given by the full multiplication table mul.  seed must be
-    non-empty; start lists members already known to lie in <seed>, such
-    as the closure of a prefix of seed (start a subset of <seed>, not
-    checked).
+    finite group given by the full multiplication table mul, read in its
+    own dtype and never copied.  seed must be non-empty; start lists
+    members already known to lie in <seed>, such as the closure of a
+    prefix of seed (start a subset of <seed>, not checked).
 
     Breadth-first walk under right multiplication by the seed S from
     S and start: each marked element is multiplied once by every seed
@@ -91,12 +91,12 @@ def closure_subgroup(mul, seed, start=()):
     The cost is (|start| + |<S> - start|) * |S| table cells.  In a finite
     group the positive words in S already form <S>, so the identity need
     not be in the seed."""
-    mul = np.ascontiguousarray(mul, dtype=np.int64)
-    seed = np.unique(np.asarray(seed, dtype=np.int64))
+    seed = np.asarray(seed, dtype=np.int64)
     if seed.size == 0:
         raise ValueError("closure_subgroup: the seed is empty")
     inset = np.zeros(mul.shape[0], dtype=bool)
     inset[seed] = True
+    seed = np.flatnonzero(inset)        # sorted, each element once
     inset[np.asarray(start, dtype=np.int64)] = True
     front = np.flatnonzero(inset)
     slot = np.empty(mul.shape[0], dtype=np.int64)

@@ -35,7 +35,7 @@ from . import linalg_mod as lm
 from .gf_arith import (TABLE_CAP, element_of_order, field_create, frob_table,
                        is_prime, prime_power, subfield_embed, trace_table)
 from ._kernels import BLOCK_CELLS
-from .group_engine import FiniteGroup
+from .group_engine import FiniteGroup, table_dtype
 from .orbit_machine import AutomorphismSet
 
 SIZE_CAP = 1 << 13
@@ -90,9 +90,9 @@ class _Coder:
         product xy.  cols(r) yields the product's coordinates for the
         rows in the slice r against every y, each an array of shape
         (rows, n); the rows are taken in blocks of at most BLOCK_CELLS
-        cells."""
+        cells, into a table of table_dtype(n)."""
         n = self.n
-        out = np.empty((n, n), dtype=np.int64)
+        out = np.empty((n, n), dtype=table_dtype(n))
         step = max(1, BLOCK_CELLS // n)
         for lo in range(0, n, step):
             r = slice(lo, min(lo + step, n))

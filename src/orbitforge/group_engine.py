@@ -5,6 +5,14 @@ ints) plus an (n, n) index table.  Everything downstream -- orders,
 center, conjugacy classes, derived and Frattini subgroups,
 and the isomorphism / automorphism search -- works on the table.
 
+A table of more than BLOCK_CELLS cells (n > 256) is int32, half the
+bytes of int64 (its entries are below n, and the families stop at
+SIZE_CAP = 2^13); smaller tables stay int64 (table_dtype).  Their
+searches chain gathers, and numpy converts every int32 index array to
+intp, so an all-int32 variant ran the order <= 128 Aut oracle 4-6%
+slower.  Tables are built in their dtype and read in it: no kernel
+widens one to int64.
+
 Every table is proved a group on construction, and only the range check
 and Light's test read the whole table (n^2 * |S| cells for a generating
 set S, at every order).  The s that pass Light's test are closed under
@@ -59,6 +67,12 @@ ISO_CAP = 1 << 10
 AUT_ENUM_CAP = 1 << 9
 
 
+def table_dtype(n):
+    """The dtype of an order-n table: int32 past BLOCK_CELLS cells,
+    else int64 (see the module docstring)."""
+    return np.dtype(np.int32 if n * n > BLOCK_CELLS else np.int64)
+
+
 class FiniteGroup:
     """Immutable once built; caches fill lazily."""
 
@@ -68,31 +82,33 @@ class FiniteGroup:
         # strictly increasing, so also free of duplicates
         if any(self.elems[i] >= self.elems[i + 1] for i in range(self.n - 1)):
             raise ValueError("element codes must be sorted")
-        self.mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int64))
-        if self.mul.shape != (self.n, self.n):
+        mul = np.asarray(mul)
+        if mul.shape != (self.n, self.n):
             raise ValueError("table shape mismatch")
+        if self.n == 0:
+            raise ValueError("not a group: the table is empty")
+        # on the caller's array: narrowed to int32, 2^32 would wrap to 0
+        if mul.min() < 0 or mul.max() >= self.n:
+            raise ValueError("table entries out of range")
+        self.mul = np.ascontiguousarray(mul, dtype=table_dtype(self.n))
         self._cache = {}
         self._validate()
 
     # ------------------------------------------------------------- checks
 
     def _validate(self):
-        """Prove the table a group; only the range check and Light's test
-        read the whole table.  e is the one row holding 0 in column 0 (a
-        group's column is a permutation), checked two-sided.  The power
-        walk x^k = x^(k-1) x gives orders() and the left inverses inv[x] =
-        x^(o(x)-1); in a group it reaches e within |G| steps, so a walk
-        that overruns is refused.  Light's test then proves the table
-        associative, and a monoid with left inverses is a group, so every
-        row and column is a permutation.  The walk, the class labels and
-        the closures that pick S end on any in-range table (see the
-        module docstring)."""
+        """Prove the in-range table a group; after the range check in
+        __init__ only Light's test reads the whole table.  e is the one
+        row holding 0 in column 0 (a group's column is a permutation),
+        checked two-sided.  The power walk x^k = x^(k-1) x gives
+        orders() and the left inverses inv[x] = x^(o(x)-1); in a group
+        it reaches e within |G| steps, so a walk that overruns is
+        refused.  Light's test then proves the table associative, and a
+        monoid with left inverses is a group, so every row and column is
+        a permutation.  The walk, the class labels and the closures that
+        pick S end on any in-range table (see the module docstring)."""
         n, mul = self.n, self.mul
-        if n == 0:
-            raise ValueError("not a group: the table is empty")
         ar = np.arange(n, dtype=np.int64)
-        if mul.min() < 0 or mul.max() >= n:
-            raise ValueError("table entries out of range")
         zeros = np.flatnonzero(mul[:, 0] == 0)
         if len(zeros) != 1:
             raise ValueError("not a group: column 0 holds 0 in %d rows"
@@ -127,7 +143,7 @@ class FiniteGroup:
         # place.
         S = self.generating_sequence()
         step = max(1, BLOCK_CELLS // n)
-        lhs = np.empty((min(step, n), n), dtype=np.int64)
+        lhs = np.empty((min(step, n), n), dtype=mul.dtype)
         rhs = np.empty_like(lhs)
         for s in S:
             sy = mul[s]
@@ -283,7 +299,9 @@ class FiniteGroup:
                     p = int(np.argmax(inH[powers[1:, g]])) + 1
                     if not is_prime(p):
                         continue
-                    K = np.unique(mul[H[:, None], powers[:p, g]])
+                    # the p cosets H g^i are disjoint, since gH has
+                    # order p in N(H)/H, so K has no repeats to drop
+                    K = np.sort(mul[H[:, None], powers[:p, g]], axis=None)
                     todo[K] = False
                     if K.tobytes() not in seen:
                         seen[K.tobytes()] = K
@@ -314,8 +332,9 @@ class FiniteGroup:
                 phi = self.normal_closure(self._derived_pair()[1] +
                                           self.power_map(pp[0])[S].tolist())[0]
             elif self.n <= LATTICE_CAP:
-                phi = functools.reduce(np.intersect1d,
-                                       self.maximal_subgroups())
+                phi = functools.reduce(
+                    functools.partial(np.intersect1d, assume_unique=True),
+                    self.maximal_subgroups())
             else:
                 phi = None
             self._cache["frattini"] = phi
@@ -397,7 +416,7 @@ def characteristic_core(G):
     if phi is None:
         N = None
     else:
-        N = G.closure(np.unique(np.concatenate([D, phi])))
+        N = G.closure(np.concatenate([D, phi]))
     return {"center": Z, "derived": D, "frattini": phi, "N": N,
             "gamma": G.gamma_series()}
 
@@ -429,7 +448,7 @@ def import_cayley(path):
             raise ValueError("file holds %d bytes, header n=%d needs %d"
                              % (size, n, 8 + 4 * n * n))
         data = np.frombuffer(fh.read(4 * n * n), dtype="<u4")
-    return FiniteGroup(list(range(n)), data.reshape(n, n).astype(np.int64))
+    return FiniteGroup(list(range(n)), data.reshape(n, n))
 
 
 # ------------------------------------------------- homomorphism search

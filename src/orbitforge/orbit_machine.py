@@ -66,12 +66,13 @@ def orbits(G, acts):
     n = G.n
     labels = orbit_labels(acts.perms, n)
     orders = G.orders()
-    reps = np.unique(labels)
+    # each orbit is labelled by its least index
+    reps = np.flatnonzero(labels == np.arange(n))
     rows = []
     for rep in reps:
         members = np.nonzero(labels == rep)[0]
-        o = np.unique(orders[members])
-        if len(o) != 1:
+        o = orders[members]
+        if (o != o[0]).any():
             raise AssertionError("element order not constant on an orbit")
         rows.append({"rep": int(rep), "length": int(len(members)),
                      "order": int(o[0])})
@@ -111,7 +112,7 @@ def invariant_features(G):
         p = pp[0]
         i = 1
         while True:
-            layer = G.closure(np.unique(G.power_map(p ** i)))
+            layer = G.closure(G.power_map(p ** i))
             if len(layer) == 1:
                 break
             feats.append(_membership(G.n, layer))
@@ -129,14 +130,17 @@ def omega_exact(G, acts, *, caut=None, inner=True):
         combined = combined.extended(inner_automorphisms(G))
     rep = orbits(G, combined)
     feats = invariant_features(G)
-    lower = len(np.unique(feats, axis=0))
+    # distinct feature rows: sorted, each row that differs from the one
+    # before it starts a class
+    srt = feats[np.lexsort(feats.T[::-1])]
+    lower = 1 + int(np.count_nonzero((srt[1:] != srt[:-1]).any(axis=1)))
     upper = rep["count"]
     if lower > upper:
         raise AssertionError("invariant partition coarser than orbits")
-    for r in rep["orbits"]:
-        members = np.nonzero(rep["labels"] == r["rep"])[0]
-        if len(np.unique(feats[members], axis=0)) != 1:
-            raise AssertionError("an orbit crosses an invariant class")
+    # an orbit's label is a member, so the orbit is constant iff every
+    # member has its label's features
+    if (feats != feats[rep["labels"]]).any():
+        raise AssertionError("an orbit crosses an invariant class")
     return {
         "lower": lower,
         "upper": upper,
@@ -358,4 +362,5 @@ def holomorph_rank(G, aut_set=None):
             pairs = (blk[:, :, None] * n + blk[:, None, :]).reshape(
                 len(blk), n * n)
             labels = orbit_labels(pairs, n * n, start=labels)
-    return len(np.unique(labels))
+    # each pair orbit is labelled by its least index
+    return int(np.count_nonzero(labels == np.arange(n * n)))

@@ -316,3 +316,37 @@ def test_calls_in_one_process_match_fresh_processes():
         shared.pop("wall_ms")
         alone.pop("wall_ms")
         assert shared == alone, argv
+
+
+def _fresh_python(script):
+    """Run a Python script in a child process that imports the same
+    orbitforge as this one; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(orbitforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_claims_never_load_numpy_ma():
+    # numpy 2's plain np.unique (and np.intersect1d without
+    # assume_unique) asks np.ma.is_masked, which imports numpy.ma on
+    # first use and sets up a hash table on every call; no claim path
+    # takes that detour
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    if _fresh_python(probe) == "True\n":
+        pytest.skip("import numpy alone loads numpy.ma")
+    # every verb that makes a claim, each battery whole (under 1 s)
+    argvs = [["verify-line", "all"], ["verify-4orbit", "all"],
+             ["verify-iso"], ["verify-irredundant"], ["hering-check", "all"],
+             ["orbits", "line2", "--p", "2", "--r", "3"]]
+    script = "\n".join([
+        "import io, sys",
+        "from orbitforge import cli",
+        "for argv in %r:" % argvs,
+        "    assert cli.run(argv + ['--json'], out=io.StringIO()) == 0, argv",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    assert _fresh_python(script) == "False\n"

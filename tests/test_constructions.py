@@ -6,7 +6,7 @@ import pytest
 
 from orbitforge import constructions as cons
 from orbitforge import verify_suite as vs
-from orbitforge.group_engine import find_isomorphism
+from orbitforge.group_engine import find_isomorphism, table_dtype
 from orbitforge.orbit_machine import central_automorphisms, omega_exact
 
 
@@ -304,4 +304,6 @@ def test_build_peak_memory_stays_near_the_table(key):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # built in its final dtype, not filled as int64 and narrowed after
+    assert inst.group.mul.dtype == table_dtype(inst.group.n)
     assert peak <= 2 * inst.group.mul.nbytes

@@ -157,6 +157,40 @@ def test_cayley_roundtrip(tmp_path):
         assert fh.read(4) == ge.CAYLEY_MAGIC
 
 
+@pytest.mark.parametrize("build", [
+    lambda: cons.sl3_pair((3, 1)).group,
+    lambda: cons.suzuki_A(3, 1).group,
+], ids=["order729", "order64"])
+def test_cayley_roundtrip_keeps_table_dtype(build, tmp_path):
+    G = build()
+    path = tmp_path / "g.g3o"
+    ge.export_cayley(G, str(path))
+    data = path.read_bytes()
+    assert data[8:] == G.mul.astype("<u4").tobytes()
+    back = ge.import_cayley(str(path))
+    assert back.mul.dtype == G.mul.dtype == ge.table_dtype(G.n)
+    assert np.array_equal(back.mul, G.mul)
+    ge.export_cayley(back, str(path))
+    assert path.read_bytes() == data
+
+
+def test_table_dtype_splits_at_one_block():
+    assert ge.table_dtype(256) == np.int64
+    assert ge.table_dtype(257) == np.int32
+
+
+@pytest.mark.parametrize("n", [16, 300])
+@pytest.mark.parametrize("bad", [-1, "n", 1 << 32])
+def test_out_of_range_entries_are_refused(n, bad):
+    """Checked on the caller's table before it is narrowed: as int32,
+    2^32 would wrap to 0, which is in range."""
+    ar = np.arange(n, dtype=np.int64)
+    mul = (ar[:, None] + ar) % n
+    mul[1, 2] = n if bad == "n" else bad
+    with pytest.raises(ValueError, match="^table entries out of range$"):
+        ge.FiniteGroup(list(range(n)), mul)
+
+
 def test_cayley_rejects_bad_sizes(tmp_path):
     Q8 = quat()
     path = tmp_path / "q8.g3o"
@@ -605,13 +639,28 @@ def _traced_peak_mb(fn):
 
 
 def test_gl3_tower_core_in_bounded_memory(gl3):
-    """Validation and the characteristic core read the 38 MB table of
-    order 2187 in slabs and from generators: no n^2 temporary."""
+    """Validation and the characteristic core read the 19 MB int32
+    table of order 2187 in slabs and from generators: no n^2
+    temporary."""
     H, built_mb = _traced_peak_mb(lambda: ge.FiniteGroup(gl3.elems,
                                                          gl3.mul))
     core, core_mb = _traced_peak_mb(lambda: ge.characteristic_core(H))
     assert [len(g) for g in core["gamma"]] == [2187, 81, 3, 1]
     assert built_mb < 8 and core_mb < 8
+
+
+def test_gl3_tower_table_is_read_without_a_copy(gl3):
+    """The int32 table is neither widened nor copied: one closure and
+    one rebuild each allocate less than the table's own bytes."""
+    assert gl3.mul.dtype == np.int32
+    gens = gl3.generating_sequence()
+    members, closure_mb = _traced_peak_mb(
+        lambda: ge.closure_subgroup(gl3.mul, gens))
+    H, built_mb = _traced_peak_mb(lambda: ge.FiniteGroup(gl3.elems,
+                                                         gl3.mul))
+    assert len(members) == gl3.n and H.mul.dtype == np.int32
+    assert closure_mb * 1e6 < gl3.mul.nbytes
+    assert built_mb * 1e6 < gl3.mul.nbytes
 
 
 @pytest.mark.parametrize("codes", [[0, 1, 1, 2], [0, 2, 1, 3]],
