@@ -282,16 +282,19 @@ def test_field_without_tables_exits_1(argv, capsys):
     assert "exceeds TABLE_CAP 2048" in capsys.readouterr().err
 
 
-def _fresh_cli(argv):
-    """Run the CLI in a child process.  The child imports the same
-    orbitforge as this process, installed or put on sys.path by pytest's
-    `pythonpath` setting."""
+def _fresh(args):
+    """Run python with args in a child process.  The child imports the
+    same orbitforge as this process, installed or put on sys.path by
+    pytest's `pythonpath` setting."""
     src = os.path.dirname(os.path.dirname(orbitforge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "orbitforge.cli"] + argv,
-                          capture_output=True, text=True, timeout=300,
-                          env=env)
+    return subprocess.run([sys.executable] + args, capture_output=True,
+                          text=True, timeout=300, env=env)
+
+
+def _fresh_cli(argv):
+    return _fresh(["-m", "orbitforge.cli"] + argv)
 
 
 def test_module_entrypoint():
@@ -319,13 +322,8 @@ def test_calls_in_one_process_match_fresh_processes():
 
 
 def _fresh_python(script):
-    """Run a Python script in a child process that imports the same
-    orbitforge as this one; returns its stdout."""
-    src = os.path.dirname(os.path.dirname(orbitforge.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=300, env=env)
+    """stdout of a script run by _fresh, which must succeed."""
+    proc = _fresh(["-c", script])
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

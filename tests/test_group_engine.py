@@ -641,26 +641,18 @@ def _traced_peak_mb(fn):
 def test_gl3_tower_core_in_bounded_memory(gl3):
     """Validation and the characteristic core read the 19 MB int32
     table of order 2187 in slabs and from generators: no n^2
-    temporary."""
+    temporary, and no widened or copied table (a closure allocates
+    less than the table's own bytes)."""
+    assert gl3.mul.dtype == np.int32
     H, built_mb = _traced_peak_mb(lambda: ge.FiniteGroup(gl3.elems,
                                                          gl3.mul))
     core, core_mb = _traced_peak_mb(lambda: ge.characteristic_core(H))
-    assert [len(g) for g in core["gamma"]] == [2187, 81, 3, 1]
-    assert built_mb < 8 and core_mb < 8
-
-
-def test_gl3_tower_table_is_read_without_a_copy(gl3):
-    """The int32 table is neither widened nor copied: one closure and
-    one rebuild each allocate less than the table's own bytes."""
-    assert gl3.mul.dtype == np.int32
-    gens = gl3.generating_sequence()
     members, closure_mb = _traced_peak_mb(
-        lambda: ge.closure_subgroup(gl3.mul, gens))
-    H, built_mb = _traced_peak_mb(lambda: ge.FiniteGroup(gl3.elems,
-                                                         gl3.mul))
-    assert len(members) == gl3.n and H.mul.dtype == np.int32
+        lambda: ge.closure_subgroup(gl3.mul, gl3.generating_sequence()))
+    assert [len(g) for g in core["gamma"]] == [2187, 81, 3, 1]
+    assert H.mul.dtype == np.int32 and len(members) == gl3.n
+    assert built_mb < 8 and core_mb < 8
     assert closure_mb * 1e6 < gl3.mul.nbytes
-    assert built_mb * 1e6 < gl3.mul.nbytes
 
 
 @pytest.mark.parametrize("codes", [[0, 1, 1, 2], [0, 2, 1, 3]],
