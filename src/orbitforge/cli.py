@@ -8,7 +8,6 @@ hit its cap."""
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import constructions as cons
@@ -57,9 +56,10 @@ def _add_common(sp):
     sp.add_argument("--json", action="store_true",
                     help="emit JSON lines instead of human-readable rows")
     sp.add_argument("--cap", type=int, metavar="BYTES", default=None,
-                    help="Cayley table memory budget per group "
+                    help="Cayley table memory budget per group, "
+                         "counted in the table's own cell width "
                          "(default %d bytes, order <= %d)"
-                         % (8 * cons.SIZE_CAP ** 2, cons.SIZE_CAP))
+                         % (cons.table_bytes(cons.SIZE_CAP), cons.SIZE_CAP))
 
 
 def _add_param_flags(sp, names):
@@ -143,13 +143,14 @@ def build_parser():
 
 
 def _size_cap(args):
-    """Group-order cap from --cap BYTES, or None for the default."""
+    """The table-byte cap from --cap BYTES, or None for the default
+    order cap SIZE_CAP."""
     cap = getattr(args, "cap", None)
     if cap is None:
         return None
     if cap < 8:
         raise ValueError("--cap must be at least 8 bytes")
-    return math.isqrt(cap // 8)
+    return cons.TableCap(cap)
 
 
 def _run_jobs(jobs, args):

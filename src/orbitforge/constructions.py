@@ -106,11 +106,32 @@ def _outer(T, a, b):
     return T[a][:, b]
 
 
+def table_bytes(n):
+    """The bytes of an order-n table in its table_dtype."""
+    return table_dtype(n).itemsize * n * n
+
+
+class TableCap:
+    """A cap in table bytes (the CLI's --cap BYTES): it admits the
+    orders n whose table, table_bytes(n), fits in nbytes.  An int cap is
+    a cap on the order."""
+
+    def __init__(self, nbytes):
+        self.nbytes = nbytes
+
+    def __str__(self):
+        return "of %d table bytes" % self.nbytes
+
+
 def _check_cap(n, cap=None, *fields):
     """Refuse a group of order n above cap (SIZE_CAP when None), and any
     of fields that has no add/mul tables for the table formulas."""
     cap = SIZE_CAP if cap is None else cap
-    if n > cap:
+    if isinstance(cap, TableCap):
+        if table_bytes(n) > cap.nbytes:
+            raise ValueError(f"group order {n} needs {table_bytes(n)} table "
+                             f"bytes, above the cap {cap}")
+    elif n > cap:
         raise ValueError(f"group order {n} exceeds cap {cap}")
     for F in fields:
         if F.add is None:
@@ -475,7 +496,7 @@ def gl3_tower(F, F0, *, cap=None):
     F0 = field_create(*F0) if isinstance(F0, tuple) else F0
     if (F.p, F.k) != (3, 1) or (F0.p, F0.k) != (3, 1):
         q = max(F.q, F0.q)
-        raise ValueError("only the GF(3) tower fits the order cap %d: "
+        raise ValueError("only the GF(3) tower fits the order cap %s: "
                          "GF(%d) gives order %d^7 = %d"
                          % (SIZE_CAP if cap is None else cap, q, q, q ** 7))
     _check_cap(3 ** 7, cap)

@@ -427,15 +427,22 @@ CAYLEY_MAGIC = b"G3O1"
 
 
 def export_cayley(G, path):
+    """Write G as a G3O1 file, the table in row blocks of BLOCK_CELLS
+    cells, so no whole copy of it is made."""
+    step = max(1, BLOCK_CELLS // G.n)
     with open(path, "wb") as fh:
         fh.write(CAYLEY_MAGIC)
         fh.write(struct.pack("<I", G.n))
-        fh.write(G.mul.astype("<u4").tobytes())
+        for lo in range(0, G.n, step):
+            fh.write(G.mul[lo:lo + step].astype("<u4").tobytes())
 
 
 def import_cayley(path):
     """Rebuild and re-validate a group from a G3O1 file: magic, uint32 n,
-    then n*n little-endian uint32 entries, and nothing after them."""
+    then n*n little-endian uint32 entries, and nothing after them.  Row
+    blocks of BLOCK_CELLS cells are read into a table_dtype(n) table,
+    each range-checked before it is narrowed: as int32, an entry of 2^31
+    or more would wrap negative."""
     with open(path, "rb") as fh:
         head = fh.read(8)
         if head[:4] != CAYLEY_MAGIC:
@@ -447,8 +454,15 @@ def import_cayley(path):
         if size != 8 + 4 * n * n:
             raise ValueError("file holds %d bytes, header n=%d needs %d"
                              % (size, n, 8 + 4 * n * n))
-        data = np.frombuffer(fh.read(4 * n * n), dtype="<u4")
-    return FiniteGroup(list(range(n)), data.reshape(n, n))
+        mul = np.empty((n, n), dtype=table_dtype(n))
+        step = max(1, BLOCK_CELLS // max(n, 1))
+        for lo in range(0, n, step):
+            blk = np.frombuffer(fh.read(4 * n * min(step, n - lo)),
+                                dtype="<u4")
+            if blk.max() >= n:
+                raise ValueError("table entries out of range")
+            mul[lo:lo + step] = blk.reshape(-1, n)
+    return FiniteGroup(list(range(n)), mul)
 
 
 # ------------------------------------------------- homomorphism search
@@ -675,7 +689,17 @@ def automorphism_group(G):
     is settled, the generators contain A_{j+1} and are transitive on the
     A_j-orbit of g_j, so they generate A_j and |A_j| is that orbit's
     length times |A_{j+1}|.  Exhaustive: every candidate image of every
-    base point is settled."""
+    base point is settled.
+
+    Level j's bucket is first screened as one block, the rows
+    g_0..g_{j-1}, c for every candidate c, one _evaluate call per
+    BLOCK_CELLS cells.  A search below that prefix begins by evaluating
+    the same row, and _evaluate treats rows independently, so a row the
+    screen drops is exactly a search that misses: c is ruled out where
+    the loop reaches it, without a search, and the loop keeps its order
+    and orbit skips, hence its generators.  A surviving c descends from
+    its screened row; at the deepest level that row's images are the
+    hit."""
     if G.n > AUT_ENUM_CAP:
         raise ValueError("automorphism group: group order %d exceeds cap %d"
                          % (G.n, AUT_ENUM_CAP))
@@ -683,13 +707,35 @@ def automorphism_group(G):
     base = search.gens
     gens = np.empty((0, G.n), dtype=np.int64)
     order = 1
+    step = max(1, BLOCK_CELLS // G.n)
     for j in reversed(range(search.k_total)):
+        bucket = search.buckets[j]
+        rows = np.empty((len(bucket), j + 1), dtype=np.int64)
+        rows[:, :j] = base[:j]
+        rows[:, j] = bucket
+        # the screen: survivors' rows and images, and each candidate's
+        # position among the survivors (-1 for a dropped one)
+        keep, phi = [], []
+        for lo in range(0, len(rows), step):
+            k, p = search._evaluate(rows[lo:lo + step], j + 1)
+            keep.append(lo + k)
+            phi.append(p)
+        keep, phi = np.concatenate(keep), np.concatenate(phi)
+        live = np.full(G.n, -1, dtype=np.int64)
+        live[bucket[keep]] = np.arange(len(keep))
+        rows = rows[keep]
         lab = orbit_labels(gens, G.n)
         ruled_out = []
-        for c in search.buckets[j].tolist():
+        for c in bucket.tolist():
             if lab[c] == lab[base[j]] or lab[c] in lab[ruled_out]:
                 continue
-            hit = next(search.hits(base[:j] + [c]), None)
+            i = live[c]
+            if i < 0:
+                hit = None
+            elif j + 1 == search.k_total:
+                hit = phi[i, search.col]
+            else:
+                hit = next(search._descend(rows[i:i + 1], j + 1), None)
             if hit is None:
                 ruled_out.append(c)
                 continue

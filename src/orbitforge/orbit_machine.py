@@ -31,9 +31,10 @@ class AutomorphismSet:
         self.perms = perms.reshape(len(perms), G.n) if len(perms) else \
             np.empty((0, G.n), dtype=np.int64)
         if verify:
-            for i, p in enumerate(self.perms):
-                if not verify_automorphism(G, p):
-                    raise ValueError(f"perm {i} is not an automorphism")
+            # one is_isomorphism call proves every row
+            bad = np.flatnonzero(~is_isomorphism(G, G, self.perms))
+            if len(bad):
+                raise ValueError(f"perm {bad[0]} is not an automorphism")
 
     def __len__(self):
         return len(self.perms) if self.order is None else self.order
@@ -243,35 +244,31 @@ def central_automorphisms(G):
     p, m_dim, n_dim = sp["p"], sp["m"], sp["n"]
     v_basis, w_basis = sp["v_basis"], sp["w_basis"]
     cc = sp["coset_coords"]
-    gens = []
-    for i in range(m_dim):
-        for w in w_basis:
-            wpow = np.empty(p, dtype=np.int64)
-            wpow[0] = G.e
-            for t in range(1, p):
-                wpow[t] = G.mul[wpow[t - 1], w]
-            perm = G.mul[np.arange(G.n), wpow[cc[:, i]]]
-            gens.append(perm)
-    acts = AutomorphismSet(G, np.array(gens, dtype=np.int64))
-    # commuting, order p, and the displacement property
+    # wpow[j, t] = w_j^t; generator (i, j) is g -> g w_j^(cc[g, i])
+    wpow = np.empty((n_dim, p), dtype=np.int64)
+    wpow[:, 0] = G.e
+    for t in range(1, p):
+        wpow[:, t] = G.mul[wpow[:, t - 1], w_basis]
+    vi, wj = np.divmod(np.arange(m_dim * n_dim), n_dim)
     ar = np.arange(G.n)
-    for a in acts.perms:
-        q = ar.copy()
-        for _ in range(p):
-            q = a[q]
-        if not np.array_equal(q, ar):
-            raise AssertionError("central generator order exceeds p")
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not np.array_equal(acts.perms[i][acts.perms[j]],
-                                  acts.perms[j][acts.perms[i]]):
-                raise AssertionError("central generators do not commute")
-    for idx, a in enumerate(acts.perms):
-        vi, wj = divmod(idx, n_dim)
-        for k, b in enumerate(v_basis):
-            expect = G.mul[b, w_basis[wj]] if k == vi else b
-            if a[b] != expect:
-                raise AssertionError("displacement property fails")
+    acts = AutomorphismSet(G, G.mul[ar, wpow[wj[:, None], cc[:, vi].T]])
+    P = acts.perms
+    # order p, commuting and the displacement property, as block
+    # compares of composed rows: Q[r] is P[r]^t after t rounds, and
+    # P[r] P[s] = P[s] P[r] for every s > r, one r at a time
+    Q = P
+    for _ in range(p - 1):
+        Q = np.take_along_axis(P, Q, axis=1)
+    if not (Q == ar).all():
+        raise AssertionError("central generator order exceeds p")
+    for r in range(len(P) - 1):
+        if not np.array_equal(P[r][P[r + 1:]], P[r + 1:, P[r]]):
+            raise AssertionError("central generators do not commute")
+    expect = np.tile(v_basis, (len(P), 1))
+    expect[np.arange(len(P)), vi] = G.mul[np.asarray(v_basis)[vi],
+                                          np.asarray(w_basis)[wj]]
+    if not np.array_equal(P[:, v_basis], expect):
+        raise AssertionError("displacement property fails")
     count = p ** (m_dim * n_dim)
     # an automorphism fixing the generating sequence fixes all of G
     if count <= (1 << 12) and PermGroup(
@@ -311,12 +308,14 @@ def induced_pair(G, N, acts):
     # is the identity
     a_base = coset[G.generating_sequence()]
     b_base = pos_in_N[G.greedy_generators(N, [G.e])]
-    a_order = PermGroup(a_perms, qn, a_base).order()
     b_order = PermGroup(b_perms, len(N), b_base).order()
     # row layout [a-part raw | b-part + qn]: one permutation of both parts
     pair = np.concatenate([a_perms, b_perms + qn], axis=1)
-    j_order = PermGroup(pair, qn + len(N),
-                        np.concatenate([a_base, b_base + qn])).order()
+    J = PermGroup(pair, qn + len(N), np.concatenate([a_base, b_base + qn]))
+    j_order = J.order()
+    # the elements of J fixing a_base, which generates G/N, act trivially
+    # on the quotient: the kernel of J -> A, so |A| = |J : J_(a_base)|
+    a_order = J.order(len(a_base))
     return {
         "A_perms": a_perms, "B_perms": b_perms,
         "A_transitive": transitive_off(a_perms, qn, coset[G.e]),

@@ -69,8 +69,11 @@ class PermGroup:
                 self._add_strong(h, 0, j)
         self._complete(len(self.base) - 1)
 
-    def order(self):
-        return math.prod(len(o) for o in self._orbit)
+    def order(self, k=None):
+        """|G|; with k, |G : G_(B[:k])|, the product of the first k
+        basic orbit lengths, which is the order of G's action on any set
+        whose pointwise stabilizer in G is that of B[:k]."""
+        return math.prod(len(o) for o in self._orbit[:k])
 
     def add(self, g):
         """Extend the chain by g; True when g was not yet a member."""

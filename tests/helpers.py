@@ -1,11 +1,13 @@
 """Reference helpers that only the tests use: a group built from a
 Python multiplication oracle, the scalar wedge product that
-wedge_power_matrix is checked against, and the listing of every
-automorphism that automorphism_group is checked against."""
+wedge_power_matrix is checked against, the listing of every
+automorphism and the one-search-per-candidate backtrack that
+automorphism_group is checked against."""
 
 import numpy as np
 
 from orbitforge import group_engine as ge
+from orbitforge._kernels import orbit_labels
 from orbitforge.group_engine import FiniteGroup
 from orbitforge.linalg_mod import wedge_basis
 
@@ -41,3 +43,27 @@ def all_automorphisms(G):
     phis = np.array(list(ge._HomSearch(G, G).hits()))
     phis = phis[ge.is_isomorphism(G, G, phis)]
     return phis[np.lexsort(phis.T[::-1])]
+
+
+def automorphism_group_unscreened(G):
+    """automorphism_group without its level screen: every candidate the
+    loop reaches gets its own find-first search through hits(), which
+    evaluates the candidate's prefix row by itself."""
+    search = ge._HomSearch(G, G)
+    base = search.gens
+    gens = np.empty((0, G.n), dtype=np.int64)
+    order = 1
+    for j in reversed(range(search.k_total)):
+        lab = orbit_labels(gens, G.n)
+        ruled_out = []
+        for c in search.buckets[j].tolist():
+            if lab[c] == lab[base[j]] or lab[c] in lab[ruled_out]:
+                continue
+            hit = next(search.hits(base[:j] + [c]), None)
+            if hit is None:
+                ruled_out.append(c)
+                continue
+            gens = np.concatenate([gens, hit[None]])
+            lab = orbit_labels(hit[None], G.n, start=lab)
+        order *= int(np.count_nonzero(lab == lab[base[j]]))
+    return gens, order

@@ -230,6 +230,33 @@ def test_cap_does_not_leak():
     assert json.loads(text)["order"] == 729
 
 
+@pytest.mark.parametrize("argv, order, nbytes", [
+    (["construct", "suzukiB", "--n", "3"], 512, 4 * 512 ** 2),
+    (["construct", "line1", "--p", "2", "--n", "4"], 256, 8 * 256 ** 2),
+    (["verify-line", "1", "--p", "3", "--n", "2"], 81, 8 * 81 ** 2),
+], ids=["int32-512", "int64-256", "verify-81"])
+def test_cap_counts_real_table_bytes(argv, order, nbytes, capsys):
+    """--cap BYTES admits a table of exactly BYTES bytes in its own
+    dtype, and one byte less refuses it, naming the order and bytes."""
+    assert cons.table_bytes(order) == nbytes
+    code, _ = run_cli(argv + ["--cap", str(nbytes)])
+    assert code == 0
+    capsys.readouterr()
+    code, text = run_cli(argv + ["--cap", str(nbytes - 1)])
+    assert code == 1 and text == ""
+    assert ("group order %d needs %d table bytes, above the cap of %d "
+            "table bytes" % (order, nbytes, nbytes - 1)
+            in capsys.readouterr().err)
+
+
+def test_cap_help_names_the_default_table_bytes():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    text = sub.choices["construct"].format_help()
+    assert "default %d bytes, order <= %d" % (
+        4 * cons.SIZE_CAP ** 2, cons.SIZE_CAP) in " ".join(text.split())
+
+
 # reports of code no frozen answer covers: the line-1 GL kit, Sp(4, 3)
 # and GammaL(1, 4096), whose field has no tables (wall_ms stripped)
 REPORT_PINS = [

@@ -205,6 +205,21 @@ def test_cayley_rejects_bad_sizes(tmp_path):
             ge.import_cayley(str(path))
 
 
+@pytest.mark.parametrize("n", [16, 300])
+@pytest.mark.parametrize("bad", ["n", 1 << 31, (1 << 32) - 1])
+def test_cayley_file_entries_out_of_range(n, bad, tmp_path):
+    """A <u4 entry of 2^31 or more would wrap negative as int32, so each
+    row block is range-checked before it is narrowed into the table."""
+    ar = np.arange(n, dtype=np.int64)
+    data = ((ar[:, None] + ar) % n).astype("<u4")
+    data[n - 1, 2] = n if bad == "n" else bad
+    path = tmp_path / "bad.g3o"
+    path.write_bytes(ge.CAYLEY_MAGIC + n.to_bytes(4, "little") +
+                     data.tobytes())
+    with pytest.raises(ValueError, match="^table entries out of range$"):
+        ge.import_cayley(str(path))
+
+
 def test_empty_table_is_refused_by_name(tmp_path):
     with pytest.raises(ValueError, match="not a group: the table is empty"):
         ge.FiniteGroup([], np.zeros((0, 0)))
@@ -653,6 +668,20 @@ def test_gl3_tower_core_in_bounded_memory(gl3):
     assert H.mul.dtype == np.int32 and len(members) == gl3.n
     assert built_mb < 8 and core_mb < 8
     assert closure_mb * 1e6 < gl3.mul.nbytes
+
+
+def test_gl3_tower_cayley_io_in_row_blocks(gl3, tmp_path):
+    """Export and import each hold the 19 MB table and one row block,
+    not a whole second copy; the file is the table as <u4."""
+    path = str(tmp_path / "gl3.g3o")
+    _, export_mb = _traced_peak_mb(lambda: ge.export_cayley(gl3, path))
+    back, import_mb = _traced_peak_mb(lambda: ge.import_cayley(path))
+    table_mb = gl3.mul.nbytes / 1e6
+    assert export_mb < 1.25 * table_mb and import_mb < 1.25 * table_mb
+    assert back.mul.dtype == np.int32 and np.array_equal(back.mul, gl3.mul)
+    with open(path, "rb") as fh:
+        fh.seek(8)
+        assert np.array_equal(np.fromfile(fh, dtype="<u4"), gl3.mul.ravel())
 
 
 @pytest.mark.parametrize("codes", [[0, 1, 1, 2], [0, 2, 1, 3]],

@@ -167,6 +167,45 @@ def test_verify_automorphism_rejects():
     assert om.verify_automorphism(Q8, ident)
 
 
+@pytest.mark.parametrize("bad_row", [1, 3, 5])
+@pytest.mark.parametrize("kind", ["transposition", "non-bijective",
+                                  "out-of-range"])
+def test_automorphism_set_names_first_bad_row(bad_row, kind):
+    """verify=True proves every row in one call and names the first row
+    that fails, wherever it sits; a second bad row after it changes
+    nothing."""
+    Q8 = quat()
+    rows = np.array(list(om.brute_force_aut(Q8).perms) * 3)[:6]
+    assert len(rows) == 6
+    om.AutomorphismSet(Q8, rows)
+    bad = np.arange(8)
+    if kind == "transposition":
+        bad[[1, 2]] = bad[[2, 1]]
+    elif kind == "non-bijective":
+        bad[1] = bad[2]
+    else:
+        bad[1] = 8
+    assert not om.verify_automorphism(Q8, bad)
+    rows[bad_row] = bad
+    rows[-1] = bad
+    with pytest.raises(ValueError,
+                       match="^perm %d is not an automorphism$" % bad_row):
+        om.AutomorphismSet(Q8, rows)
+    om.AutomorphismSet(Q8, rows, verify=False)
+
+
+def test_induced_order_read_off_the_joint_chain():
+    """|A| read off the J chain equals the order of the A chain built on
+    its own, on every small family instance."""
+    for tag, inst in _small_inventory():
+        G = inst.group
+        core = ge.characteristic_core(G)
+        pair = om.induced_pair(G, core["N"], inst.acts)
+        qn = pair["quotient_size"]
+        assert pair["A_order"] == PermGroup(pair["A_perms"], qn,
+                                            range(qn)).order(), tag
+
+
 def test_inner_automorphism_orbits():
     S3 = perm_group([(1, 2, 0), (1, 0, 2)])
     inn = om.inner_automorphisms(S3)

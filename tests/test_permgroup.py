@@ -8,6 +8,7 @@ from orbitforge import group_engine as ge
 from orbitforge import hering as hr
 from orbitforge import verify_suite as vs
 from orbitforge.permgroup import PermGroup
+from helpers import automorphism_group_unscreened
 
 
 def _enumerate(gens, n):
@@ -183,6 +184,26 @@ def test_aut_chain_on_generating_sequence(tag):
     S = G.generating_sequence()
     assert PermGroup(gens, G.n, S).order() == order
     assert PermGroup(gens, G.n, range(G.n)).order() == order
+
+
+@pytest.mark.parametrize("tag", sorted(ORACLE_GROUPS))
+def test_level_screen_keeps_generators(tag):
+    """The level screen rules out exactly the candidates whose own
+    search misses: the strong generators, row for row, and |Aut| are
+    those of one find-first search per candidate."""
+    G = _oracle_group(tag)
+    gens, order = ge.automorphism_group(G)
+    ref_gens, ref_order = automorphism_group_unscreened(G)
+    assert order == ref_order
+    assert gens.dtype == ref_gens.dtype and np.array_equal(gens, ref_gens)
+
+
+def test_order_of_the_first_levels():
+    """order(k) is |G : G_(B[:k])|: S4 on base (0, 1, 2) has basic orbit
+    lengths 4, 3, 2."""
+    S4 = PermGroup([[1, 2, 3, 0], [1, 0, 2, 3]], 4, [0, 1, 2])
+    assert [S4.order(k) for k in range(4)] == [1, 4, 12, 24]
+    assert S4.order() == S4.order(3) == 24
 
 
 @pytest.mark.parametrize("tag", ["line1(2,2)", "es2(2,+)", "q8_on_c3c3"])
