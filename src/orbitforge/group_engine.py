@@ -44,10 +44,11 @@ normal closures grow each closure from the one before it.
 Caps: the lattice at |G| <= 512, isomorphism search at |G| <= 1024, and
 Aut(G) at |G| <= 512, found as strong generators plus its order by an
 exhaustive base-image backtrack on the base S.  Both searches walk one
-generator, _HomSearch.hits, which evaluates candidate generator images
-one BFS depth of <S> at a time, drops a candidate at the first depth
-where a relation fails, and yields the survivors lazily; every hit a
-caller keeps is then proved by is_isomorphism.
+generator, _HomSearch._descend (from the root through hits, or from a
+screened candidate), which evaluates candidate generator images one BFS
+depth of <S> at a time, drops a candidate at the first depth where a
+relation fails, and yields the survivors lazily; every hit a caller
+keeps is then proved by is_isomorphism.
 """
 
 import functools
@@ -480,9 +481,10 @@ class _HomSearch:
     Each (element, generator) edge is either an image step or a check
     at the stage of its later endpoint, so the survivors, and their
     order, are those of building every image first and checking every
-    edge after.  One generator, hits, walks the levels depth first and
-    yields the last level's survivors one map at a time, so a caller
-    that stops after the first map stops the walk there.
+    edge after.  One generator, _descend, walks the levels depth first
+    and yields the last level's survivors one map at a time, so a caller
+    that stops after the first map stops the walk there; hits starts it
+    at the root.
     """
 
     def __init__(self, G, H):
@@ -570,24 +572,14 @@ class _HomSearch:
         ok = np.all(sub[:, 1:] != sub[:, :-1], axis=1)
         return keep[ok], phi[ok]
 
-    def hits(self, prefix=()):
-        """The maps that send gens[:len(prefix)] to prefix and survive
-        every level, yielded lazily as (|G|,) index maps in
-        lexicographic order of the generator images: next() finds the
-        first, list() all of them."""
+    def hits(self):
+        """The maps that survive every level, yielded lazily as (|G|,)
+        index maps in lexicographic order of the generator images:
+        next() finds the first, list() all of them."""
         if self.k_total == 0:
             yield np.array([self.H.e], dtype=np.int64)
             return
-        rows = np.asarray(prefix, dtype=np.int64).reshape(1, -1)
-        k = rows.shape[1]
-        if k:
-            keep, phi = self._evaluate(rows, k)
-            if not len(keep):
-                return
-            if k == self.k_total:
-                yield phi[0, self.col]
-                return
-        yield from self._descend(rows, k)
+        yield from self._descend(np.empty((1, 0), dtype=np.int64), 0)
 
     def _descend(self, rows, k):
         """rows have survived level k; extend by bucket k, one chunk at

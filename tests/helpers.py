@@ -46,9 +46,9 @@ def all_automorphisms(G):
 
 
 def automorphism_group_unscreened(G):
-    """automorphism_group without its level screen: every candidate the
-    loop reaches gets its own find-first search through hits(), which
-    evaluates the candidate's prefix row by itself."""
+    """automorphism_group without its level screen: every candidate c
+    the loop reaches gets its own find-first search, which evaluates the
+    row g_0..g_{j-1}, c by itself and descends from it."""
     search = ge._HomSearch(G, G)
     base = search.gens
     gens = np.empty((0, G.n), dtype=np.int64)
@@ -59,7 +59,14 @@ def automorphism_group_unscreened(G):
         for c in search.buckets[j].tolist():
             if lab[c] == lab[base[j]] or lab[c] in lab[ruled_out]:
                 continue
-            hit = next(search.hits(base[:j] + [c]), None)
+            row = np.array([base[:j] + [c]], dtype=np.int64)
+            keep, phi = search._evaluate(row, j + 1)
+            if not len(keep):
+                hit = None
+            elif j + 1 == search.k_total:
+                hit = phi[0, search.col]
+            else:
+                hit = next(search._descend(row, j + 1), None)
             if hit is None:
                 ruled_out.append(c)
                 continue

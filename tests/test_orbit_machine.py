@@ -175,8 +175,8 @@ def test_automorphism_set_names_first_bad_row(bad_row, kind):
     that fails, wherever it sits; a second bad row after it changes
     nothing."""
     Q8 = quat()
-    rows = np.array(list(om.brute_force_aut(Q8).perms) * 3)[:6]
-    assert len(rows) == 6
+    rows = np.array(list(om.brute_force_aut(Q8).perms) * 4)[:7]
+    assert len(rows) == 7
     om.AutomorphismSet(Q8, rows)
     bad = np.arange(8)
     if kind == "transposition":
