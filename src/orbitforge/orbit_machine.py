@@ -31,7 +31,6 @@ class AutomorphismSet:
         self.perms = perms.reshape(len(perms), G.n) if len(perms) else \
             np.empty((0, G.n), dtype=np.int64)
         if verify:
-            # one is_isomorphism call proves every row
             bad = np.flatnonzero(~is_isomorphism(G, G, self.perms))
             if len(bad):
                 raise ValueError(f"perm {bad[0]} is not an automorphism")
