@@ -143,14 +143,13 @@ def build_parser():
 
 
 def _size_cap(args):
-    """The table-byte cap from --cap BYTES, or None for the default
-    order cap SIZE_CAP."""
+    """Table-byte cap from --cap BYTES, or None for the default."""
     cap = getattr(args, "cap", None)
     if cap is None:
         return None
     if cap < 8:
         raise ValueError("--cap must be at least 8 bytes")
-    return cons.TableCap(cap)
+    return cap
 
 
 def _run_jobs(jobs, args):

@@ -111,28 +111,15 @@ def table_bytes(n):
     return table_dtype(n).itemsize * n * n
 
 
-class TableCap:
-    """A cap in table bytes (the CLI's --cap BYTES): it admits the
-    orders n whose table, table_bytes(n), fits in nbytes.  An int cap is
-    a cap on the order."""
-
-    def __init__(self, nbytes):
-        self.nbytes = nbytes
-
-    def __str__(self):
-        return "of %d table bytes" % self.nbytes
-
-
 def _check_cap(n, cap=None, *fields):
-    """Refuse a group of order n above cap (SIZE_CAP when None), and any
-    of fields that has no add/mul tables for the table formulas."""
-    cap = SIZE_CAP if cap is None else cap
-    if isinstance(cap, TableCap):
-        if table_bytes(n) > cap.nbytes:
-            raise ValueError(f"group order {n} needs {table_bytes(n)} table "
-                             f"bytes, above the cap {cap}")
-    elif n > cap:
-        raise ValueError(f"group order {n} exceeds cap {cap}")
+    """Refuse a group of order n whose table needs more than cap bytes
+    (table_bytes(SIZE_CAP) when None, which admits exactly the orders
+    up to SIZE_CAP), and any of fields that has no add/mul tables for
+    the table formulas."""
+    cap = table_bytes(SIZE_CAP) if cap is None else cap
+    if table_bytes(n) > cap:
+        raise ValueError(f"group order {n} needs {table_bytes(n)} table "
+                         f"bytes, above the cap of {cap} table bytes")
     for F in fields:
         if F.add is None:
             raise ValueError(f"field order {F.q} exceeds TABLE_CAP "
@@ -496,9 +483,9 @@ def gl3_tower(F, F0, *, cap=None):
     F0 = field_create(*F0) if isinstance(F0, tuple) else F0
     if (F.p, F.k) != (3, 1) or (F0.p, F0.k) != (3, 1):
         q = max(F.q, F0.q)
-        raise ValueError("only the GF(3) tower fits the order cap %s: "
+        raise ValueError("only the GF(3) tower fits the order cap %d: "
                          "GF(%d) gives order %d^7 = %d"
-                         % (SIZE_CAP if cap is None else cap, q, q, q ** 7))
+                         % (SIZE_CAP, q, q, q ** 7))
     _check_cap(3 ** 7, cap)
     coder = _Coder([3] * 7)
     D = coder.digits

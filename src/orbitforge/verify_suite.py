@@ -609,10 +609,9 @@ def verify_four_orbit(family, params, *, cap=None):
     params = {k: type(v)(params.get(k, v)) for k, v in defaults.items()}
     if family == "gl3-tower" and params["q"] != 3:
         q = params["q"]
-        raise ValueError("only q = 3 fits the construction cap %s: q = %d "
+        raise ValueError("only q = 3 fits the construction cap %d: q = %d "
                          "gives order %d^7 = %d"
-                         % (cons.SIZE_CAP if cap is None else cap, q, q,
-                            q ** 7))
+                         % (cons.SIZE_CAP, q, q, q ** 7))
     expect_orders = None
     witnesses = {}
     if build_as is None:
@@ -755,8 +754,7 @@ def hering_battery():
 
 def run_job(job, cap=None):
     """Dispatch one (kind, *args) claim job to its verifier; cap is the
-    cap of every construction: an order, a constructions.TableCap, or
-    None for SIZE_CAP."""
+    table-byte cap of every construction (None for the default)."""
     kind = job[0]
     if kind == "line":
         return verify_table_line(job[1], job[2], cap=cap)
