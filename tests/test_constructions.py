@@ -141,6 +141,18 @@ def test_size_cap():
         cons.heisenberg_trace((5, 3), (5, 1), 2)
 
 
+def test_default_cap_admits_exactly_the_orders_up_to_size_cap():
+    # the default byte cap is the int32 table of order SIZE_CAP; every
+    # int64 table (order <= 256) is far below it
+    cons._check_cap(cons.SIZE_CAP)
+    n = cons.SIZE_CAP + 1
+    with pytest.raises(ValueError, match="group order %d needs %d table "
+                                         "bytes, above the cap of %d table "
+                                         "bytes" % (n, 4 * n * n,
+                                                    4 * cons.SIZE_CAP ** 2)):
+        cons._check_cap(n)
+
+
 def test_meta_orbit_formula():
     # the advertised orbit lengths follow |W| and |V| in every family
     for inst in (cons.line1_abelian(3, 1), cons.suzuki_A(3, 1),
