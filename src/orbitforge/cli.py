@@ -13,7 +13,7 @@ import sys
 from . import constructions as cons
 from . import verify_suite as vs
 from .group_engine import export_cayley
-from .orbit_machine import brute_force_aut, omega_exact
+from .orbit_machine import omega_exact
 
 REPORT_KEYS = ("claim_id", "anchor", "params", "status", "omega",
                "orbit_lengths", "orbit_orders", "subgroup_orders",
@@ -99,7 +99,7 @@ def build_parser():
     _add_common(sp)
 
     sp = sub.add_parser("orbits", help="orbit structure of one instance")
-    sp.add_argument("family", choices=families + ["q8-c3c3"])
+    sp.add_argument("family", choices=families)
     _add_param_flags(sp, family_flags)
     _add_common(sp)
 
@@ -208,7 +208,7 @@ def _instance_summary(inst, family, prm):
         "family": family,
         "params": prm,
         "order": inst.group.n,
-        "generators_given": len(inst.acts),
+        "generators_given": len(inst.acts.perms),
         "meta": vs._py(inst.meta),
     }
 
@@ -232,15 +232,9 @@ def _do_construct(args, out):
 
 
 def _do_orbits(args, out):
-    if args.family == "q8-c3c3":
-        _given(args, (), args.family)
-        G = vs.q8_on_c3c3()
-        prm = {}
-        om = omega_exact(G, brute_force_aut(G), inner=False)
-    else:
-        inst, prm = _build_instance(args)
-        G = inst.group
-        om = omega_exact(G, inst.acts, caut=vs._caut_or_none(G))
+    inst, prm = _build_instance(args)
+    G = inst.group
+    om = omega_exact(G, inst.acts, caut=vs._caut_or_none(G))
     info = {
         "family": args.family,
         "params": prm,

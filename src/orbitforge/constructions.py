@@ -2,7 +2,8 @@
 
 Every family is realized on tuple codes (field element indices or small
 residues), and each structured automorphism generator attached to the
-family is verified against the table before it is returned.
+family is verified against the table before it is returned; q8-c3c3
+takes the whole of Aut(G) from the base-image backtrack instead.
 
 The multiplication table is evaluated from the family's coordinate
 formulas on every pair (x, y), by _Coder.table: the (n, n) output is
@@ -36,7 +37,7 @@ from .gf_arith import (TABLE_CAP, element_of_order, field_create, frob_table,
                        is_prime, prime_power, subfield_embed, trace_table)
 from ._kernels import BLOCK_CELLS
 from .group_engine import FiniteGroup, table_dtype
-from .orbit_machine import AutomorphismSet
+from .orbit_machine import AutomorphismSet, brute_force_aut
 
 SIZE_CAP = 1 << 13
 
@@ -472,8 +473,8 @@ def gl3_tower(F, F0, *, cap=None):
     """The free 3-generator exponent-3 group (order 3^7, class 3):
     layers V, wedge^2 V, wedge^3 V with GL(V) inducing (g, g^g, det g).
 
-    Only F = F0 = GF(3) fits the order cap: any larger field puts
-    q^7 far beyond reach.  Built by polycyclic collection on normal
+    Only F = F0 = GF(3) is implemented: the collection formulas below
+    are those of exponent 3.  Built by polycyclic collection on normal
     forms  x1^a1 x2^a2 x3^a3 y21^b1 y31^b2 y32^b3 z^c  where
     y_ij = [x_i, x_j] and z = [[x2, x1], x3]; triple commutators
     alternate (exponent 3 forces the 2-Engel law), so
@@ -483,9 +484,8 @@ def gl3_tower(F, F0, *, cap=None):
     F0 = field_create(*F0) if isinstance(F0, tuple) else F0
     if (F.p, F.k) != (3, 1) or (F0.p, F0.k) != (3, 1):
         q = max(F.q, F0.q)
-        raise ValueError("only the GF(3) tower fits the order cap %d: "
-                         "GF(%d) gives order %d^7 = %d"
-                         % (SIZE_CAP, q, q, q ** 7))
+        raise ValueError("only the GF(3) tower is implemented: "
+                         "GF(%d) gives order %d^7 = %d" % (q, q, q ** 7))
     _check_cap(3 ** 7, cap)
     coder = _Coder([3] * 7)
     D = coder.digits
@@ -633,6 +633,47 @@ def extraspecial2(k, eps, *, cap=None):
                      coder, table, perms, meta)
 
 
+# ------------------------------------------------- four-orbit: Q8 on C3^2
+
+def q8_on_c3c3(*, cap=None):
+    """Order-72 semidirect product: the quaternion group, realized by
+    2x2 matrices over GF(3), acting on the natural plane.
+
+    The element (v0, v1, a) is the vector v = (v0, v1) with the matrix
+    M_a, and (v, a)(w, b) = (v M_b + w, ab).  The table is built by
+    _Coder.table on the codes (v, a), each coordinate of the product
+    read from a small table: the 9 x 8 grid of v M_b, the 9 x 9 vector
+    add, and the 8 x 8 table of Q8."""
+    _check_cap(72, cap)
+    gi = np.array([[0, 2], [1, 0]], dtype=np.int64)
+    gj = np.array([[1, 1], [1, 2]], dtype=np.int64)
+    # the eight elements i^a j^b; a product table inside these eight
+    # proves they are closed, hence the group <i, j>
+    mats = [np.linalg.matrix_power(gi, a) @ np.linalg.matrix_power(gj, b)
+            % 3 for b in range(2) for a in range(4)]
+    key = {M.tobytes(): t for t, M in enumerate(mats)}
+    prods = [[((a @ b) % 3).tobytes() for b in mats] for a in mats]
+    if len(key) != 8 or not all(k in key for row in prods for k in row):
+        raise AssertionError("i^a j^b are not a group of order 8")
+    qmul = np.array([[key[k] for k in row] for row in prods], dtype=np.int64)
+    plane = _Coder([3, 3])
+    V = plane.digits
+    vm = ((V @ np.array(mats)) % 3 @ plane.weights).T
+    vadd = (V[:, None] + V) % 3 @ plane.weights
+    coder = _Coder([9, 8])
+    v, a = coder.digits.T
+    table = coder.table(lambda r: (vadd[_outer(vm, v[r], a), v],
+                                   _outer(qmul, a[r], a)))
+    return FiniteGroup(_Coder([3, 3, 8]).elems(), table)
+
+
+def _q8_c3c3(*, cap):
+    """q8_on_c3c3 acted on by all of Aut(G): no structured
+    automorphisms of it are known."""
+    G = q8_on_c3c3(cap=cap)
+    return FamilyInstance("q8c3c3", {}, G, brute_force_aut(G))
+
+
 # ------------------------------------------------------- family table
 
 def _sl3(q, *, cap):
@@ -663,6 +704,7 @@ FAMILIES = {
     "heisenberg": _heisenberg,
     "gl3-tower": lambda *, cap: gl3_tower((3, 1), (3, 1), cap=cap),
     "extraspecial2": lambda k, eps, *, cap: extraspecial2(k, eps, cap=cap),
+    "q8-c3c3": _q8_c3c3,
 }
 
 

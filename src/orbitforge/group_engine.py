@@ -581,9 +581,10 @@ class _HomSearch:
             return
         yield from self._descend(np.empty((1, 0), dtype=np.int64), 0)
 
-    def _descend(self, rows, k):
-        """rows have survived level k; extend by bucket k, one chunk at
-        a time, and yield the last level's survivors one by one."""
+    def _extend(self, rows, k):
+        """rows have survived level k; extend each by bucket k and yield
+        (surviving rows, their images) per chunk of as many parent rows
+        as fit BLOCK_CELLS cells, one _evaluate call each."""
         bucket = self.buckets[k]
         if bucket.size == 0:
             return
@@ -596,11 +597,17 @@ class _HomSearch:
             ext[:, :k] = np.repeat(chunk, bucket.size, axis=0)
             ext[:, k] = np.tile(bucket, B)
             keep, phi = self._evaluate(ext, k + 1)
+            yield ext[keep], phi
+
+    def _descend(self, rows, k):
+        """rows have survived level k; extend them one chunk at a time
+        and yield the last level's survivors one by one."""
+        for ext, phi in self._extend(rows, k):
             if k + 1 == self.k_total:
                 for row in phi:
                     yield row[self.col]
-            elif len(keep):
-                yield from self._descend(ext[keep], k + 1)
+            elif len(ext):
+                yield from self._descend(ext, k + 1)
 
 
 def _invariant_screen(G, H):
@@ -683,15 +690,16 @@ def automorphism_group(G):
     length times |A_{j+1}|.  Exhaustive: every candidate image of every
     base point is settled.
 
-    Level j's bucket is first screened as one block, the rows
-    g_0..g_{j-1}, c for every candidate c, one _evaluate call per
-    BLOCK_CELLS cells.  A search below that prefix begins by evaluating
-    the same row, and _evaluate treats rows independently, so a row the
-    screen drops is exactly a search that misses: c is ruled out where
-    the loop reaches it, without a search, and the loop keeps its order
-    and orbit skips, hence its generators.  A surviving c descends from
-    its screened row; at the deepest level that row's images are the
-    hit."""
+    Level j's bucket is screened first: _extend of the one row
+    g_0..g_{j-1} keeps, in bucket order, the candidates c whose row
+    g_0..g_{j-1}, c passes level j + 1.  A search below that prefix
+    begins with the same row and _evaluate treats rows independently,
+    so a dropped c is a search that misses.  The loop walks only the
+    survivors, which is exact: each known automorphism fixes
+    g_0..g_{j-1}, so it maps survivors to survivors, a dropped c shares
+    no orbit with a survivor, and skipping it leaves ruled_out, lab and
+    gens unchanged.  A survivor descends from its screened row; at the
+    deepest level that row's images are the hit."""
     if G.n > AUT_ENUM_CAP:
         raise ValueError("automorphism group: group order %d exceeds cap %d"
                          % (G.n, AUT_ENUM_CAP))
@@ -699,35 +707,19 @@ def automorphism_group(G):
     base = search.gens
     gens = np.empty((0, G.n), dtype=np.int64)
     order = 1
-    step = max(1, BLOCK_CELLS // G.n)
     for j in reversed(range(search.k_total)):
-        bucket = search.buckets[j]
-        rows = np.empty((len(bucket), j + 1), dtype=np.int64)
-        rows[:, :j] = base[:j]
-        rows[:, j] = bucket
-        # the screen: survivors' rows and images, and each candidate's
-        # position among the survivors (-1 for a dropped one)
-        keep, phi = [], []
-        for lo in range(0, len(rows), step):
-            k, p = search._evaluate(rows[lo:lo + step], j + 1)
-            keep.append(lo + k)
-            phi.append(p)
-        keep, phi = np.concatenate(keep), np.concatenate(phi)
-        live = np.full(G.n, -1, dtype=np.int64)
-        live[bucket[keep]] = np.arange(len(keep))
-        rows = rows[keep]
+        prefix = np.array(base[:j], dtype=np.int64).reshape(1, j)
+        rows, phi = map(np.concatenate, zip(*search._extend(prefix, j)))
         lab = orbit_labels(gens, G.n)
         ruled_out = []
-        for c in bucket.tolist():
+        for row, p in zip(rows, phi):
+            c = int(row[j])
             if lab[c] == lab[base[j]] or lab[c] in lab[ruled_out]:
                 continue
-            i = live[c]
-            if i < 0:
-                hit = None
-            elif j + 1 == search.k_total:
-                hit = phi[i, search.col]
+            if j + 1 == search.k_total:
+                hit = p[search.col]
             else:
-                hit = next(search._descend(rows[i:i + 1], j + 1), None)
+                hit = next(search._descend(row[None], j + 1), None)
             if hit is None:
                 ruled_out.append(c)
                 continue

@@ -12,10 +12,10 @@ from . import linalg_mod as lm
 from ._kernels import BLOCK_CELLS
 from .gf_arith import element_of_order, field_create, prime_power, \
     subfield_embed, trace_table
-from .group_engine import FiniteGroup, ISO_CAP, _invariant_screen, \
+from .group_engine import ISO_CAP, _invariant_screen, \
     characteristic_core, find_isomorphism
-from .orbit_machine import brute_force_aut, central_automorphisms, \
-    induced_pair, linear_split, omega_exact
+from .orbit_machine import central_automorphisms, induced_pair, \
+    linear_split, omega_exact
 
 MAP_SEARCH_NODE_CAP = 2_000_000
 
@@ -164,7 +164,7 @@ def verify_table_line(line, params, *, cap=None):
         raise AssertionError("scalar field is not p^(r-1)")
     core = characteristic_core(G)
     caut = _caut_or_none(G)
-    om = omega_exact(G, inst.acts, caut=caut, inner=True)
+    om = omega_exact(G, inst.acts, caut=caut)
     expect = [1, meta["W_order"] - 1,
               meta["W_order"] * (meta["V_order"] - 1)]
     sizes = _subgroup_sizes(core)
@@ -556,46 +556,17 @@ def verify_irredundant(exhaustive=False, *, cap=None):
 
 # ------------------------------------------------------- 4-orbit claims
 
-def q8_on_c3c3():
-    """Order-72 semidirect product: the quaternion group, realized by
-    2x2 matrices over GF(3), acting on the natural plane.
-
-    The element (v0, v1, a) is the vector v = (v0, v1) with the matrix
-    M_a, and (v, a)(w, b) = (v M_b + w, ab).  The table is built by
-    _Coder.table on the codes (v, a), each coordinate of the product
-    read from a small table: the 9 x 8 grid of v M_b, the 9 x 9 vector
-    add, and the 8 x 8 table of Q8."""
-    gi = np.array([[0, 2], [1, 0]], dtype=np.int64)
-    gj = np.array([[1, 1], [1, 2]], dtype=np.int64)
-    # the eight elements i^a j^b; a product table inside these eight
-    # proves they are closed, hence the group <i, j>
-    mats = [np.linalg.matrix_power(gi, a) @ np.linalg.matrix_power(gj, b)
-            % 3 for b in range(2) for a in range(4)]
-    key = {M.tobytes(): t for t, M in enumerate(mats)}
-    prods = [[((a @ b) % 3).tobytes() for b in mats] for a in mats]
-    if len(key) != 8 or not all(k in key for row in prods for k in row):
-        raise AssertionError("i^a j^b are not a group of order 8")
-    qmul = np.array([[key[k] for k in row] for row in prods], dtype=np.int64)
-    plane = cons._Coder([3, 3])
-    V = plane.digits
-    vm = ((V @ np.array(mats)) % 3 @ plane.weights).T
-    vadd = (V[:, None] + V) % 3 @ plane.weights
-    coder = cons._Coder([9, 8])
-    v, a = coder.digits.T
-    table = coder.table(lambda r: (vadd[cons._outer(vm, v[r], a), v],
-                                   cons._outer(qmul, a[r], a)))
-    return FiniteGroup(cons._Coder([3, 3, 8]).elems(), table)
+q8_on_c3c3 = cons.q8_on_c3c3  # its old name, which perfbench calls
 
 
-# four-orbit claim -> (family, or None for q8-c3c3 and its whole Aut(G);
-# claim parameters with their defaults; pinned orbit lengths, for
-# extraspecial2 a function of the parameters)
+# four-orbit claim -> (family; claim parameters with their defaults;
+# pinned orbit lengths, for extraspecial2 a function of the parameters)
 FOUR_ORBIT = {
     "gl3-tower": ("gl3-tower", {"q": 3}, [1, 2, 78, 2106]),
     "extraspecial2": ("extraspecial2", {"k": 2, "eps": "+"}, None),
     "line2-frobenius": ("line2", {"p": 2, "r": 3, "ell": 2, "d": 1},
                         [1, 63, 128, 384]),
-    "q8-c3c3": (None, {}, [1, 8, 9, 54]),
+    "q8-c3c3": ("q8-c3c3", {}, [1, 8, 9, 54]),
 }
 
 
@@ -609,22 +580,18 @@ def verify_four_orbit(family, params, *, cap=None):
     params = {k: type(v)(params.get(k, v)) for k, v in defaults.items()}
     if family == "gl3-tower" and params["q"] != 3:
         q = params["q"]
-        raise ValueError("only q = 3 fits the construction cap %d: q = %d "
-                         "gives order %d^7 = %d"
-                         % (cons.SIZE_CAP, q, q, q ** 7))
+        raise ValueError("only q = 3 is implemented: q = %d gives order "
+                         "%d^7 = %d" % (q, q, q ** 7))
+    inst, _ = cons.build(build_as, {k: params[k] for k in
+                                    cons.family_params(build_as)}, cap)
+    G, acts = inst.group, inst.acts
     expect_orders = None
     witnesses = {}
-    if build_as is None:
-        G = q8_on_c3c3()
-        acts = brute_force_aut(G)
+    if family == "q8-c3c3":
         expect_orders = [1, 3, 2, 4]
         witnesses["aut_order"] = len(acts)
         witnesses["method"] = "exhaustive automorphism enumeration"
-    else:
-        inst, _ = cons.build(build_as, {k: params[k] for k in
-                                        cons.family_params(build_as)}, cap)
-        G, acts = inst.group, inst.acts
-    if family == "gl3-tower":
+    elif family == "gl3-tower":
         witnesses["gamma_orders"] = [len(g) for g in G.gamma_series()]
         witnesses["exponent"] = G.exponent()
     elif family == "extraspecial2":
@@ -637,7 +604,7 @@ def verify_four_orbit(family, params, *, cap=None):
         witnesses["frattini_note"] = "beyond the subgroup-lattice cap"
 
     caut = _caut_or_none(G)
-    om = omega_exact(G, acts, caut=caut, inner=build_as is not None)
+    om = omega_exact(G, acts, caut=caut)
     core = characteristic_core(G)
     sizes = _subgroup_sizes(core)
 

@@ -99,6 +99,9 @@ CONSTRUCT_PINS = [
      {"family": "extraspecial2", "params": {"k": 1, "eps": "+"}, "order": 8,
       "generators_given": 1,
       "meta": {"p": 2, "eps": "+", "k": 1, "W_order": 2, "V_order": 4}}),
+    (["q8-c3c3"],
+     {"family": "q8-c3c3", "params": {}, "order": 72, "generators_given": 4,
+      "meta": {}}),
 ]
 
 
@@ -163,12 +166,11 @@ def test_every_choice_resolves_in_the_tables():
                 if c != "all"]
 
     for verb in ("construct", "orbits", "export-cayley"):
-        assert set(choices(verb)) - {"q8-c3c3"} == set(cons.FAMILIES), verb
+        assert set(choices(verb)) == set(cons.FAMILIES), verb
     assert [int(t) for t in choices("verify-line")] == list(range(1, 8))
     assert all(vs.LINES[t][0] in cons.FAMILIES for t in range(1, 8))
     assert choices("verify-4orbit") == list(vs.FOUR_ORBIT)
-    assert all(fam is None or fam in cons.FAMILIES
-               for fam, _, _ in vs.FOUR_ORBIT.values())
+    assert all(fam in cons.FAMILIES for fam, _, _ in vs.FOUR_ORBIT.values())
 
 
 def test_construct_and_cayley_roundtrip(tmp_path):
@@ -234,7 +236,10 @@ def test_cap_does_not_leak():
     (["construct", "suzukiB", "--n", "3"], 512, 4 * 512 ** 2),
     (["construct", "line1", "--p", "2", "--n", "4"], 256, 8 * 256 ** 2),
     (["verify-line", "1", "--p", "3", "--n", "2"], 81, 8 * 81 ** 2),
-], ids=["int32-512", "int64-256", "verify-81"])
+    (["verify-4orbit", "q8-c3c3"], 72, 8 * 72 ** 2),
+    (["orbits", "q8-c3c3"], 72, 8 * 72 ** 2),
+], ids=["int32-512", "int64-256", "verify-81", "verify-4orbit-q8",
+        "orbits-q8"])
 def test_cap_counts_real_table_bytes(argv, order, nbytes, capsys):
     """--cap BYTES admits a table of exactly BYTES bytes in its own
     dtype, and one byte less refuses it, naming the order and bytes."""

@@ -123,8 +123,8 @@ def test_sl3_pair_meta():
 
 
 def test_gl3_tower_refusal_names_cap_and_order():
-    with pytest.raises(ValueError, match=r"only the GF\(3\) tower fits the "
-                                         r"order cap 8192: GF\(2\) gives "
+    with pytest.raises(ValueError, match=r"only the GF\(3\) tower is "
+                                         r"implemented: GF\(2\) gives "
                                          r"order 2\^7 = 128"):
         cons.gl3_tower((2, 1), (2, 1))
 

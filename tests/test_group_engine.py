@@ -883,3 +883,30 @@ def test_staged_evaluation_matches_reference(build, monkeypatch):
     monkeypatch.setattr(ge._HomSearch, "_evaluate", _evaluate_one_at_a_time)
     ref_gens, ref_order = ge.automorphism_group(G)
     assert ref_order == order and np.array_equal(ref_gens, gens)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cons.extraspecial2(2, "-").group,
+    vs.q8_on_c3c3,
+    lambda: cons.heisenberg_trace((3, 1), (3, 1), 2).group,
+], ids=["es2(2,-)", "q8_on_c3c3", "line7(3,2,1,1)"])
+def test_aut_search_across_block_boundaries(build, monkeypatch):
+    """With BLOCK_CELLS at 3n, _extend takes one parent row per chunk,
+    so the search meets a block boundary after nearly every row: the
+    generators, row for row, and |Aut| stay those of the full blocks.
+    The group is built first, because table_dtype reads BLOCK_CELLS."""
+    G = build()
+    gens, order = ge.automorphism_group(G)
+    monkeypatch.setattr(ge, "BLOCK_CELLS", 3 * G.n)
+    small_gens, small_order = ge.automorphism_group(G)
+    assert small_order == order and np.array_equal(small_gens, gens)
+
+
+def test_iso_search_across_block_boundaries(monkeypatch):
+    """The find-first search returns the same map when its blocks are
+    cut to 3n cells."""
+    G, H = cons.suzuki_A(3, 1).group, cons.suzuki_A(3, 2).group
+    phi = ge.find_isomorphism(G, H)
+    assert phi is not None
+    monkeypatch.setattr(ge, "BLOCK_CELLS", 3 * G.n)
+    assert np.array_equal(ge.find_isomorphism(G, H), phi)

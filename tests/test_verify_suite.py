@@ -424,9 +424,8 @@ def test_map_search_node_cap_names_cap_and_count(monkeypatch):
 
 
 def test_gl3_tower_refusal_names_cap_and_order():
-    with pytest.raises(ValueError, match=r"only q = 3 fits the construction "
-                                         r"cap 8192: q = 5 gives order "
-                                         r"5\^7 = 78125"):
+    with pytest.raises(ValueError, match=r"only q = 3 is implemented: "
+                                         r"q = 5 gives order 5\^7 = 78125"):
         vs.verify_four_orbit("gl3-tower", {"q": 5})
 
 
