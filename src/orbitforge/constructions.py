@@ -5,20 +5,25 @@ residues), and each structured automorphism generator attached to the
 family is verified against the table before it is returned; q8-c3c3
 takes the whole of Aut(G) from the base-image backtrack instead.
 
-The multiplication table is evaluated from the family's coordinate
-formulas on every pair (x, y), by _Coder.table: the (n, n) output is
-filled in row blocks of at most BLOCK_CELLS cells, and each coordinate
-term of the product is read from a small table over only the digits it
-depends on (a field's add or mul table, a cocycle on the grid of its
-two arguments, a form on the grid of vectors), expanded to the block by
-one row gather and one column gather (_outer).  A bilinear cocycle or
-form is evaluated once on its grid through its Gram matrix
-(linalg_mod.form_matrix over a field, integer products mod 2 for the
-extraspecial 2-groups).  gl3_tower rests on a normal-form identity:
-with y = (x1^a1' x2^a2' x3^a3')(y21^b1' y31^b2' y32^b3' z^c'), xy is
-x (x1^a1' x2^a2' x3^a3') with (b', c') added digitwise mod 3 to its low
-four digits, so a row block is one gather from the grid of
-x (x1^a1' x2^a2' x3^a3') into the table of that low-digit add.
+The multiplication table is evaluated from the family's formulas on
+every pair (x, y), in blocks of at most BLOCK_CELLS cells, by one of two
+builders.  The six central extensions of V by W (suzukiA, suzukiB,
+dornhoff, heisenberg, sl3, extraspecial2), with product (v1, w1)(v2, w2)
+= (v1 + v2, w1 + w2 + c(v1, v2)) on the codes v |W| + w, go through
+_extension_table: with shifted[k] = addW[addW, k], the |W| x |W| block
+(v1, v2) of the table is one copy of shifted[c(v1, v2)] plus
+(v1 + v2) |W|.  A bilinear cocycle or form is evaluated once on its grid
+through its Gram matrix (linalg_mod.form_matrix over a field, integer
+products mod 2 for the extraspecial 2-groups).  The other four go
+through _Coder.table, row blocks in which each coordinate of the
+product is read from a small table over only the digits it depends on,
+expanded by one row and one column gather (_outer): in line2 and
+q8-c3c3 the low coordinate of xy reads y's top digits, so they are no
+central extensions; line1 is abelian and small; gl3_tower rests on a
+normal-form identity: with y = (x1^a1' x2^a2' x3^a3')(y21^b1' y31^b2'
+y32^b3' z^c'), xy is x (x1^a1' x2^a2' x3^a3') with (b', c') added
+digitwise mod 3 to its low four digits, so a row block is one gather
+from the grid of x (x1^a1' x2^a2' x3^a3') into that low-digit add.
 
 FAMILIES maps each family name to a function whose signature is the
 family's parameter schema: names in report order, defaults for the
@@ -88,10 +93,11 @@ class _Coder:
 
     def table(self, cols):
         """The (n, n) table whose row x, column y is the code of the
-        product xy.  cols(r) yields the product's coordinates for the
-        rows in the slice r against every y, each an array of shape
-        (rows, n); the rows are taken in blocks of at most BLOCK_CELLS
-        cells, into a table of table_dtype(n)."""
+        product xy, for the families that are no central extension (see
+        _extension_table for those).  cols(r) yields the product's
+        coordinates for the rows in the slice r against every y, each an
+        array of shape (rows, n); the rows are taken in blocks of at most
+        BLOCK_CELLS cells, into a table of table_dtype(n)."""
         n = self.n
         out = np.empty((n, n), dtype=table_dtype(n))
         step = max(1, BLOCK_CELLS // n)
@@ -99,6 +105,32 @@ class _Coder:
             r = slice(lo, min(lo + step, n))
             self.encode_cols(cols(r), out[r])
         return out
+
+
+def _extension_table(addV, c, addW):
+    """The (n, n) table of the central extension (v1, w1)(v2, w2) =
+    (addV[v1, v2], addW[addW[w1, w2], c[v1, v2]]) on the codes v |W| + w,
+    in table_dtype(n).  With shifted[k] = addW[addW, k], block (v1, v2)
+    is shifted[c[v1, v2]] + addV[v1, v2] |W|: the blocks of a few v1 (of
+    a w1 range, past BLOCK_CELLS cells a V row) are one gather, written
+    transposed into the (v1, w1, v2, w2) view of the table."""
+    nv, nw = len(addV), len(addW)
+    dt = table_dtype(nv * nw)
+    shifted = addW[addW[None], np.arange(nw)[:, None, None]].astype(dt,
+                                                                   copy=False)
+    out = np.empty((nv * nw, nv * nw), dtype=dt)
+    rows = max(1, BLOCK_CELLS // (nv * nw))
+    a, b = max(1, rows // nw), min(nw, rows)
+    view = out.reshape(nv, nw, nv, nw)
+    for lo in range(0, nv, a):
+        r = slice(lo, lo + a)
+        base = (addV[r, :, None, None] * nw).astype(dt)
+        for s in range(0, nw, b):
+            blk = shifted[:, s:s + b][c[r]]
+            blk += base
+            view[r, s:s + b] = blk.transpose(0, 2, 1, 3)
+            del blk     # the add's buffer may take a block of its own
+    return out
 
 
 def _outer(T, a, b):
@@ -267,14 +299,8 @@ def suzuki_A(n, i, *, cap=None):
     th = frob_table(F, i)
     coder = _Coder([q, q])
     D = coder.digits
-    L, Z = D[:, 0], D[:, 1]
-    cocycle = F.mul[th]         # (l1, l2) -> l1^theta l2
-
-    def cols(r):
-        yield _outer(F.add, L[r], L)
-        yield F.add[_outer(F.add, Z[r], Z), _outer(cocycle, L[r], L)]
-
-    table = coder.table(cols)
+    # cocycle (l1, l2) -> l1^theta l2
+    table = _extension_table(F.add, F.mul[th], F.add)
     xi = element_of_order(F, q - 1)
     perms = []
     for a_exp, lam in ((0, xi), (1, 1)):
@@ -310,15 +336,8 @@ def suzuki_B(n, eps_choice=0, *, cap=None):
     inv_emb = _inverse_embedding(F, F2)
     coder = _Coder([F2.q, q])
     D = coder.digits
-    L, Z = D[:, 0], D[:, 1]
     tr = trace_table(F2, n)     # x -> x + x^q, read in F
-    cocycle = tr[F2.mul[F2.mul[:, frq], eps]]
-
-    def cols(r):
-        yield _outer(F2.add, L[r], L)
-        yield F.add[_outer(F.add, Z[r], Z), _outer(cocycle, L[r], L)]
-
-    table = coder.table(cols)
+    table = _extension_table(F2.add, tr[F2.mul[F2.mul[:, frq], eps]], F.add)
     # scaling by a generator mu of GF(q^2)^*: zeta scales by the norm
     mu = element_of_order(F2, F2.q - 1)
     norm_mu = int(_pick(np.array([F2.mul_elems(mu, int(frq[mu]))]),
@@ -349,15 +368,9 @@ def dornhoff_P(*, cap=None):
     inv_emb = _inverse_embedding(F8, F64)
     coder = _Coder([64, 8])
     D = coder.digits
-    L, Z = D[:, 0], D[:, 1]
     squares = F64.mul[np.arange(64), np.arange(64)]
-    cocycle = tr[F64.mul[F64.mul[:, squares], eps]]
-
-    def cols(r):
-        yield _outer(F64.add, L[r], L)
-        yield F8.add[_outer(F8.add, Z[r], Z), _outer(cocycle, L[r], L)]
-
-    table = coder.table(cols)
+    table = _extension_table(F64.add, tr[F64.mul[F64.mul[:, squares], eps]],
+                             F8.add)
     eps3 = F64.pow_elem(eps, 3)
     eps9_in8 = int(_pick(np.array([F64.pow_elem(eps, 9)]), inv_emb)[0])
     psi = coder.encode_cols([F64.mul[D[:, 0], eps3],
@@ -389,18 +402,12 @@ def heisenberg_trace(F, F0, d, *, cap=None):
     coder = _Coder([F.q] * d + [F0.q])
     D = coder.digits
     V = D[:, :d]
-    # Tr f(v1, v2) on the grid of vectors, keyed by each element's V-code
-    VV = _Coder([F.q] * d).digits
+    # vector add and Tr f(v1, v2) on the grid of vectors, keyed by V-code
+    VC = _Coder([F.q] * d)
+    VV = VC.digits
     form = tr[lm.form_matrix(F, VV, lm.standard_symplectic(F, d), VV)]
-    vcode = np.arange(coder.n) // F0.q
-
-    def cols(r):
-        for t in range(d):
-            yield _outer(F.add, V[r, t], V[:, t])
-        yield F0.add[_outer(F0.add, D[r, d], D[:, d]),
-                     _outer(form, vcode[r], vcode)]
-
-    table = coder.table(cols)
+    addV = VC.encode_cols(_outer(F.add, VV[:, t], VV[:, t]) for t in range(d))
+    table = _extension_table(addV, form, F0.add)
     perms = []
     for g in lm.symplectic_transvection_gens(F, d):
         img = lm.vec_batch_apply(F, V, g)
@@ -442,22 +449,15 @@ def sl3_pair(F, *, cap=None):
     _check_cap(F.q ** 6, cap, F)
     coder = _Coder([F.q] * 6)
     D = coder.digits
-    # w-coordinate t of xy is x_t + y_t + x_i y_j - x_j y_i, (i, j) its
-    # wedge in the cyclic basis: a q^3 x q^3 table keyed by the digits
-    # (t, i, j) of x and of y
-    at, ai, aj = _Coder([F.q] * 3).digits.T
-    wedge = F.add[_outer(F.add, at, at),
-                  F.add[_outer(F.mul, ai, aj), F.neg[_outer(F.mul, aj, ai)]]]
-    keys = [D[:, t] * F.q ** 2 + D[:, i] * F.q + D[:, j]
-            for t, (i, j) in enumerate(lm.wedge_basis(3, 2), 3)]
-
-    def cols(r):
-        for t in range(3):
-            yield _outer(F.add, D[r, t], D[:, t])
-        for k in keys:
-            yield _outer(wedge, k[r], k)
-
-    table = coder.table(cols)
+    # w-coordinate t of xy is (x_t + y_t) + (x_i y_j - x_j y_i), (i, j)
+    # its wedge in the cyclic basis: the cocycle's W-code on V x V
+    C3 = _Coder([F.q] * 3)
+    A = C3.digits
+    add3 = C3.encode_cols(_outer(F.add, A[:, t], A[:, t]) for t in range(3))
+    wedge = C3.encode_cols(F.add[_outer(F.mul, A[:, i], A[:, j]),
+                                 F.neg[_outer(F.mul, A[:, j], A[:, i])]]
+                           for i, j in lm.wedge_basis(3, 2))
+    table = _extension_table(add3, wedge, add3)
     perms = []
     for g in _glq_generator_mats(F, 3):
         perms.append(coder.encode_cols(_gl3_action_cols(F, D, g)))
@@ -593,18 +593,12 @@ def extraspecial2(k, eps, *, cap=None):
     coder = _Coder([2] * (d + 1))
     D = coder.digits
     V = D[:, :d]
-    xor = np.array([[0, 1], [1, 0]])
-    # c(v1, v2) on the grid of vectors, keyed by each element's V-code
+    # c(v1, v2) on the grid of vectors, keyed by each element's V-code,
+    # whose vector add is the xor of the codes
     VV = _Coder([2] * d).digits
-    form = (VV @ beta @ VV.T) % 2
-    vcode = np.arange(coder.n) // 2
-
-    def cols(r):
-        for t in range(d):
-            yield _outer(xor, V[r, t], V[:, t])
-        yield _outer(xor, D[r, d], D[:, d]) ^ _outer(form, vcode[r], vcode)
-
-    table = coder.table(cols)
+    vc = np.arange(2 ** d)
+    table = _extension_table(vc[:, None] ^ vc, (VV @ beta @ VV.T) % 2,
+                             np.array([[0, 1], [1, 0]]))
     # every vector of GF(2)^d, bit t of x as coordinate t, and Q on it
     X = (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1
     Q = ((X @ beta) * X).sum(axis=1) % 2

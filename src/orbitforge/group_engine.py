@@ -372,10 +372,8 @@ class FiniteGroup:
         Light's test and hom_on_generators need only some set whose
         closure is G, so both stay proofs on this one."""
         if "gens" not in self._cache:
-            orders = self.orders()
-            csz = self.class_sizes()
-            cand = sorted(range(self.n),
-                          key=lambda i: (-int(orders[i]), int(csz[i]), i))
+            # stable, so ties go by index
+            cand = np.lexsort((self.class_sizes(), -self.orders()))
             gens = self.greedy_generators(cand, [self.e])
             for i in reversed(range(len(gens))):
                 rest = gens[:i] + gens[i + 1:]

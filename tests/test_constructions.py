@@ -288,8 +288,9 @@ def test_q8_on_c3c3_table_and_elements_pinned():
         "dadbc5602b0f4768d1f94aacdc96bc39")
 
 
-# one instance per table built by _Coder.table; no n here is a multiple
-# of 7, so 7-row blocks end in a short block
+# one instance per table built by _Coder.table or _extension_table; no n
+# here is a multiple of 7, so 7-row blocks end in a short block (and
+# sl3's 27-element W splits into w1 ranges of 7, the last one short)
 BLOCKED = [("line1", 2, 3), ("line2", 2, 3, 2, 1), ("suzukiA", 5, 1),
            ("suzukiB", 3), ("dornhoff",), ("heis", (3, 2), (3, 2), 2),
            ("sl3", (3, 1)), ("es2", 3, "-"), ("gl3tower",), ("q8c3c3",)]
@@ -319,3 +320,54 @@ def test_build_peak_memory_stays_near_the_table(key):
     # built in its final dtype, not filled as int64 and narrowed after
     assert inst.group.mul.dtype == table_dtype(inst.group.n)
     assert peak <= 2 * inst.group.mul.nbytes
+
+
+def _random_extension(nv, nw, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(nv, size=(nv, nv)), rng.integers(nw, size=(nv, nv)),
+            rng.integers(nw, size=(nw, nw)))
+
+
+def _extension_reference(addV, c, addW):
+    """Cell (v1 |W| + w1, v2 |W| + w2) is addV[v1, v2] |W| +
+    addW[addW[w1, w2], c[v1, v2]], evaluated on every cell."""
+    nv, nw = len(addV), len(addW)
+    v1, w1, v2, w2 = np.indices((nv, nw, nv, nw))
+    cells = addV[v1, v2] * nw + addW[addW[w1, w2], c[v1, v2]]
+    return cells.reshape(nv * nw, nv * nw)
+
+
+# nv != nw throughout, so a dropped transpose cannot broadcast; 32 x 8 =
+# 256 is the last int64 order and 7 x 40 = 280 an int32 one
+@pytest.mark.parametrize("nv, nw", [(32, 8), (7, 40), (3, 5)])
+def test_extension_table_matches_every_cell(nv, nw, monkeypatch):
+    addV, c, addW = _random_extension(nv, nw, seed=nv * nw)
+    ref = _extension_reference(addV, c, addW)
+    n = nv * nw
+    # the default blocks, one table row (a w1 range of one) and 3 rows
+    for cells in (cons.BLOCK_CELLS, n, 3 * n):
+        monkeypatch.setattr(cons, "BLOCK_CELLS", cells)
+        table = cons._extension_table(addV, c, addW)
+        assert table.dtype == table_dtype(n), cells
+        assert np.array_equal(table, ref), cells
+    assert table_dtype(256) == np.int64 and table_dtype(280) == np.int32
+
+
+def test_extension_table_peak_with_w1_split(monkeypatch):
+    # one V row is nw n = 32,000 cells, above BLOCK_CELLS = 12 n, so each
+    # block is one v1 and 12 w1 (the last one 4): the builder holds the
+    # table, shifted and at most two blocks (a block can be numpy's add
+    # buffer of up to 8192 cells, so blocks here are larger than that)
+    nv, nw = 20, 40
+    n = nv * nw
+    addV, c, addW = _random_extension(nv, nw, seed=5)
+    monkeypatch.setattr(cons, "BLOCK_CELLS", 12 * n)
+    tracemalloc.start()
+    try:
+        table = cons._extension_table(addV, c, addW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table, _extension_reference(addV, c, addW))
+    item = table.dtype.itemsize
+    assert peak <= table.nbytes + nw ** 3 * item + 2 * 12 * n * item

@@ -356,6 +356,36 @@ def _all_conjugation_labels(G):
 
 
 @pytest.mark.parametrize("build", [
+    None,
+    lambda: cons.suzuki_A(5, 1).group,
+    vs.q8_on_c3c3,
+    lambda: perm_group([(1, 2, 3, 0), (1, 0, 2, 3)]),
+], ids=["gl3_tower", "suzukiA(5,1)", "q8_on_c3c3", "S4"])
+def test_generating_sequence_candidates_follow_the_sorted_key(build, gl3,
+                                                              monkeypatch):
+    # candidates by highest order, then smallest class, then index: the
+    # lexsort order is the sorted order, ties included
+    G = gl3 if build is None else build()
+    orders, csz = G.orders(), G.class_sizes()
+
+    def key(i):
+        return -int(orders[i]), int(csz[i])
+
+    assert len({key(i) for i in range(G.n)}) < G.n
+    seen = []
+    greedy = ge.FiniteGroup.greedy_generators
+
+    def spy(self, cand, start):
+        seen.append([int(x) for x in cand])
+        return greedy(self, cand, start)
+
+    monkeypatch.setattr(ge.FiniteGroup, "greedy_generators", spy)
+    gens = G._cache.pop("gens")
+    assert G.generating_sequence() == gens
+    assert seen == [sorted(range(G.n), key=lambda i: (*key(i), i))]
+
+
+@pytest.mark.parametrize("build", [
     lambda: perm_group([(1, 2, 3, 0), (1, 0, 2, 3)]),
     vs.q8_on_c3c3,
     lambda: cons.line2_frobenius(2, 5, 1, 1).group,
